@@ -120,18 +120,20 @@ def _extract_series(job: Job, degree: int):
 def _validation_lines(job: Job):
     """Structural checks beyond what loading already enforced.
 
-    Returns (lines, ok).  Loading has already validated the graph, the
-    multiplicity matrix and the stratum characters; here the chi-weighted
+    Returns (lines, ok).  Loading has already checked the graph's shape;
+    building the multiplicity matrix blows it down to its first
+    component, and a graph that fails raises.  Then the chi-weighted
     bookkeeping per component orbit is checked, for the divisor and, when
     a curve section is present, for the divisor with strict-transform
     points removed.
     """
     lines = []
     ok = True
+    graph = job.model.graph
     job.model.multiplicities()
     lines.append(
-        f"graph: {len(job.model.graph.components)} components, "
-        f"multiplicity matrix consistent"
+        f"graph: {len(graph.components)} components, blows down to "
+        f"{graph.first_blown_up!r}"
     )
     lines.append(f"strata: {len(job.model.strata)} strata, characters resolve")
     if job.orbits is None:

@@ -31,19 +31,45 @@ class JobError(ValueError):
     pass
 
 
+def _is_int(value) -> bool:
+    # JSON true/false arrive as bool, which Python counts as int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(mapping, key, where, types=None):
+    if not isinstance(mapping, dict):
+        raise JobError(f"{where}: expected an object, got {type(mapping).__name__}")
     if key not in mapping:
         raise JobError(f"{where}: missing required field {key!r}")
     value = mapping[key]
-    if types is not None and not isinstance(value, types):
+    if types is not None and (not isinstance(value, types) or isinstance(value, bool)):
         raise JobError(f"{where}.{key}: unexpected type {type(value).__name__}")
     return value
 
 
+def _optional(mapping, key, where, types):
+    """``mapping[key]`` checked like :func:`_require`; None when absent or null."""
+    if mapping.get(key) is None:
+        return None
+    return _require(mapping, key, where, types)
+
+
 def _int_list(value, where):
-    if not isinstance(value, list) or not all(isinstance(x, int) for x in value):
+    if not isinstance(value, list) or not all(_is_int(x) for x in value):
         raise JobError(f"{where}: expected a list of integers, got {value!r}")
     return tuple(value)
+
+
+def _component_id(value, where):
+    if not (isinstance(value, str) or _is_int(value)):
+        raise JobError(f"{where}: component ids are strings or integers, got {value!r}")
+    return value
+
+
+def _id_list(value, where):
+    if not isinstance(value, list):
+        raise JobError(f"{where}: expected a list of component ids, got {value!r}")
+    return tuple(_component_id(x, where) for x in value)
 
 
 @dataclass(frozen=True)
@@ -113,10 +139,10 @@ def _parse_strata(items, ring):
     strata = []
     for i, raw in enumerate(items):
         where = f"strata[{i}]"
-        carrier = tuple(_require(raw, "carrier", where, list))
+        carrier = _id_list(_require(raw, "carrier", where), f"{where}.carrier")
         chi = _require(raw, "chi", where, int)
         label = raw.get("label")
-        degree = raw.get("degree")
+        degree = _optional(raw, "degree", where, int)
         if degree is not None and degree != len(carrier):
             raise JobError(
                 f"{where}: declared degree {degree} but the carrier has "
@@ -124,7 +150,7 @@ def _parse_strata(items, ring):
             )
         char_exponents = None
         derivation = None
-        spec = raw.get("character")
+        spec = _optional(raw, "character", where, dict)
         if spec is not None:
             if "exponents" in spec:
                 char_exponents = _int_list(spec["exponents"], f"{where}.character")
@@ -159,7 +185,7 @@ def _parse_plan(items, num_vars):
             continue
         out = _require(raw, "output", where, int)
         den = raw.get("denominator", 1)
-        if not isinstance(den, int):
+        if not _is_int(den):
             raise JobError(f"{where}: denominator must be an integer")
         entries[var - 1] = (out - 1, den)
     if seen != set(range(1, num_vars + 1)):
@@ -172,6 +198,8 @@ def _parse_plan(items, num_vars):
 
 
 def _parse_expected_factors(items, where, ring_q):
+    if not isinstance(items, list):
+        raise JobError(f"{where}: expected a list of factors, got {items!r}")
     factors = []
     for i, raw in enumerate(items):
         here = f"{where}[{i}]"
@@ -186,7 +214,7 @@ def _parse_expected_factors(items, where, ring_q):
                     f"{ring_q} ring generators"
                 )
         coefficient = raw.get("coefficient", 1)
-        if not isinstance(coefficient, int):
+        if not _is_int(coefficient):
             raise JobError(f"{here}: coefficient must be an integer")
         factors.append(ExpectedFactor(exponent, power, character, coefficient))
     return tuple(factors)
@@ -207,18 +235,25 @@ def parse_job(data: dict, name: str = "job") -> Job:
     graph_raw = _require(data, "graph", "job", dict)
     comps = []
     for i, c in enumerate(_require(graph_raw, "components", "graph", list)):
+        where = f"graph.components[{i}]"
         comps.append(
-            (_require(c, "id", f"graph.components[{i}]"),
-             _require(c, "self_intersection", f"graph.components[{i}]", int))
+            (_component_id(_require(c, "id", where), f"{where}.id"),
+             _require(c, "self_intersection", where, int))
         )
-    edges = tuple(tuple(e) for e in _require(graph_raw, "edges", "graph", list))
-    e0 = _require(graph_raw, "first_blown_up", "graph")
+    edges = []
+    for i, e in enumerate(_require(graph_raw, "edges", "graph", list)):
+        edge = _id_list(e, f"graph.edges[{i}]")
+        if len(edge) != 2:
+            raise JobError(f"graph.edges[{i}]: an edge is a pair of ids, got {e!r}")
+        edges.append(edge)
+    e0 = _component_id(_require(graph_raw, "first_blown_up", "graph"),
+                       "graph.first_blown_up")
     try:
-        graph = ResolutionGraph(tuple(comps), edges, e0)
+        graph = ResolutionGraph(tuple(comps), tuple(edges), e0)
     except ValueError as e:
         raise JobError(f"graph: {e}") from e
 
-    chosen = tuple(_require(data, "chosen", "job", list))
+    chosen = _id_list(_require(data, "chosen", "job"), "chosen")
     strata = _parse_strata(_require(data, "strata", "job", list), ring)
     try:
         model = StratumModel(graph, ring, chosen, strata)
@@ -226,11 +261,13 @@ def parse_job(data: dict, name: str = "job") -> Job:
         raise JobError(f"model: {e}") from e
 
     orbits = None
-    if "orbits" in data:
+    orbits_raw = _optional(data, "orbits", "job", list)
+    if orbits_raw is not None:
         orbits = []
-        for i, raw in enumerate(data["orbits"]):
+        for i, raw in enumerate(orbits_raw):
             where = f"orbits[{i}]"
-            components = tuple(_require(raw, "components", where, list))
+            components = _id_list(_require(raw, "components", where),
+                                  f"{where}.components")
             removed = _int_list(_require(raw, "removed", where), where)
             try:
                 orbits.append(OrbitDecl(components, removed))
@@ -239,31 +276,32 @@ def parse_job(data: dict, name: str = "job") -> Job:
         orbits = tuple(orbits)
 
     curve = None
-    if "curve" in data:
-        raw = data["curve"]
+    raw = _optional(data, "curve", "job", dict)
+    if raw is not None:
         branches = []
         for i, b in enumerate(_require(raw, "branches", "curve", list)):
-            attach = _require(b, "attach", f"curve.branches[{i}]")
+            attach = _component_id(_require(b, "attach", f"curve.branches[{i}]"),
+                                   f"curve.branches[{i}].attach")
             if attach not in set(graph.ids):
                 raise JobError(
                     f"curve.branches[{i}]: attach component {attach!r} unknown"
                 )
             branches.append(Branch(attach, b.get("label")))
         removed = []
-        for i, r in enumerate(raw.get("removed_points", [])):
+        for i, r in enumerate(_optional(raw, "removed_points", "curve", list) or ()):
             where = f"curve.removed_points[{i}]"
             removed.append(
                 RemovedPointOrbit(
-                    _require(r, "stratum", where),
+                    _require(r, "stratum", where, (str, int)),
                     _require(r, "count", where, int),
-                    r.get("degree"),
+                    _optional(r, "degree", where, int),
                 )
             )
         curve = CurveSpec(tuple(branches), tuple(removed))
 
     extract = None
-    if "extract" in data:
-        raw = data["extract"]
+    raw = _optional(data, "extract", "job", dict)
+    if raw is not None:
         plan = _parse_plan(_require(raw, "plan", "extract", list), len(chosen))
         compute_degree = _require(raw, "compute_degree", "extract", int)
         if compute_degree < 0:
@@ -271,9 +309,9 @@ def parse_job(data: dict, name: str = "job") -> Job:
         extract = ExtractSpec(compute_degree, plan)
 
     oracle = None
-    if "oracle" in data:
-        raw = data["oracle"]
-        axes = raw.get("curve_axes")
+    raw = _optional(data, "oracle", "job", dict)
+    if raw is not None:
+        axes = _optional(raw, "curve_axes", "oracle", list)
         if axes is not None:
             if curve is None:
                 raise JobError("oracle.curve_axes given but the job has no curve")
@@ -289,8 +327,8 @@ def parse_job(data: dict, name: str = "job") -> Job:
             oracle = MonomialModel(
                 _require(raw, "order", "oracle", int),
                 weights,
-                sigma_x=raw.get("sigma_x"),
-                sigma_y=raw.get("sigma_y"),
+                sigma_x=_optional(raw, "sigma_x", "oracle", (str, int)),
+                sigma_y=_optional(raw, "sigma_y", "oracle", (str, int)),
                 curve_axes=tuple(axes) if axes is not None else None,
             )
         except ValueError as e:
@@ -301,8 +339,9 @@ def parse_job(data: dict, name: str = "job") -> Job:
             )
 
     expected = {}
-    if "expected" in data:
-        for kind, raw in data["expected"].items():
+    expected_raw = _optional(data, "expected", "job", dict)
+    if expected_raw is not None:
+        for kind, raw in expected_raw.items():
             if kind not in ("divisorial", "curve", "extract"):
                 raise JobError(f"expected.{kind}: unknown series kind")
             q = ring.num_generators if kind != "extract" else None

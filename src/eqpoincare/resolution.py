@@ -4,18 +4,30 @@ A resolution of a plane curve germ by a composition of point blow-ups is
 described here only through its dual graph: one vertex per exceptional
 component with its self-intersection number, one edge per intersection
 point of two components, and a marked vertex for the first component
-blown up.  The graph of an actual blow-up composition always has
-intersection matrix of determinant (-1)^n, and the negative of the
-inverse matrix (the multiplicity matrix M) is symmetric with positive
-integer entries: M[s, t] is the multiplicity of a curvelet transversal
-to component t along the divisorial valuation of component s.  Both
-facts are enforced, which is what catches mistyped graphs.
+blown up.
+
+A graph is accepted when it blows down to a smooth point.  A
+(-1)-component meeting at most two others can be taken as the last
+blow-up: contracting it raises the self-intersection of each neighbour
+by one and, when there are two neighbours, joins them.  Contracting
+until nothing is left recovers the blow-up sequence in reverse, and the
+neighbours of a component when it is contracted are the components its
+centre lies on.  The graph must be a tree, no neighbour may rise above
+-1, and the component contracted last must be ``first_blown_up``.
+
+The multiplicity matrix M = -(E o E)^(-1) is then read off the sequence
+in integer arithmetic: M[s, t] is the multiplicity of a curvelet
+transversal to component t along the divisorial valuation of component
+s.  When the blow-down fails the error also reports the determinant of
+the intersection matrix if it is not (-1)^n, the value every blow-up
+composition has.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
+from operator import add
 
 
 class GraphError(ValueError):
@@ -42,27 +54,6 @@ def integer_determinant(matrix: list[list[int]]) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def fraction_inverse(matrix: list[list[int]]) -> list[list[Fraction]]:
-    """Exact inverse by Gauss-Jordan elimination over Fraction."""
-    n = len(matrix)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise GraphError("intersection matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        p = aug[col][col]
-        aug[col] = [x / p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 @dataclass(frozen=True)
@@ -144,35 +135,111 @@ class ResolutionGraph:
             mat[index[b]][index[a]] = 1
         return mat
 
-    def multiplicity_matrix(self) -> "MultiplicityMatrix":
-        mat = self.intersection_matrix()
-        n = len(mat)
-        det = integer_determinant(mat)
-        if det != (-1) ** n:
+    def blowup_sequence(self) -> tuple:
+        """The blow-ups that produce this graph, recovered by blowing down.
+
+        Returns ``(component, centre)`` pairs in blow-up order, where
+        ``centre`` lists the earlier components the blown-up point lies
+        on (none for the first, one for a free point, two for a
+        satellite point).  Raises GraphError when the graph does not
+        blow down to a smooth point.
+        """
+        ids = self.ids
+        n = len(ids)
+        if len(self.edges) != n - 1:
+            # connected with n - 1 edges is a tree; contraction keeps a
+            # tree a tree, so joined neighbours never collide below
             raise GraphError(
-                f"intersection matrix determinant is {det}, expected {(-1) ** n} "
-                f"for {n} components; not a blow-up composition"
+                f"graph has a cycle ({len(self.edges)} edges on {n} components); "
+                "the dual graph of a blow-up composition is a tree"
             )
-        inv = fraction_inverse(mat)
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                v = -inv[i][j]
-                if v.denominator != 1:
-                    raise GraphError(f"multiplicity entry ({i}, {j}) = {v} not integral")
-                v = int(v)
-                if v < 1:
+        index = {cid: i for i, cid in enumerate(ids)}
+        self_int = [k for _, k in self.components]
+        adjacency = [set() for _ in range(n)]
+        for a, b in self.edges:
+            adjacency[index[a]].add(index[b])
+            adjacency[index[b]].add(index[a])
+        # a vertex once ready stays ready: raising it above -1 is rejected,
+        # and a contraction never raises a valence
+        ready = [i for i in range(n) if self_int[i] == -1 and len(adjacency[i]) <= 2]
+        contracted = []
+        while ready:
+            v = ready.pop()
+            centre = tuple(adjacency[v])
+            for c in centre:
+                adjacency[c].discard(v)
+            if len(centre) == 2:
+                a, b = centre
+                adjacency[a].add(b)
+                adjacency[b].add(a)
+            for c in centre:
+                self_int[c] += 1
+                if self_int[c] > -1:
                     raise GraphError(
-                        f"multiplicity entry ({i}, {j}) = {v} is not positive"
+                        f"contracting component {ids[v]!r} raises the "
+                        f"self-intersection of {ids[c]!r} to {self_int[c]}"
                     )
-                row.append(v)
-            rows.append(row)
-        for i in range(n):
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise GraphError("multiplicity matrix is not symmetric")
-        return MultiplicityMatrix(self.ids, rows)
+                if self_int[c] == -1 and len(adjacency[c]) <= 2:
+                    ready.append(c)
+            contracted.append((v, centre))
+        if len(contracted) < n:
+            done = {v for v, _ in contracted}
+            left = [ids[i] for i in range(n) if i not in done]
+            raise GraphError(
+                f"graph does not blow down: no (-1)-component of valence <= 2 "
+                f"among the {len(left)} left, {left}"
+            )
+        return tuple(
+            (ids[v], tuple(ids[c] for c in centre))
+            for v, centre in reversed(contracted)
+        )
+
+    def multiplicity_matrix(self) -> "MultiplicityMatrix":
+        """Build M from the blow-up sequence; O(n^2) integer additions.
+
+        M[j, t] for an earlier t is the sum of M[c, t] over the centre
+        components c of j, and M[j, j] is one more than the sum of
+        M[j, c] over those c.
+        """
+        try:
+            sequence = self.blowup_sequence()
+        except GraphError as e:
+            n = len(self.components)
+            det = integer_determinant(self.intersection_matrix())
+            if det != (-1) ** n:
+                raise GraphError(
+                    f"intersection matrix determinant is {det}, expected "
+                    f"{(-1) ** n} for {n} components ({e}); not a blow-up "
+                    "composition"
+                ) from None
+            raise GraphError(f"{e}; not a blow-up composition") from None
+        root = sequence[0][0]
+        if root != self.first_blown_up:
+            raise GraphError(
+                f"first_blown_up is {self.first_blown_up!r} but the graph "
+                f"blows down to {root!r}"
+            )
+        n = len(sequence)
+        position = {cid: j for j, (cid, _) in enumerate(sequence)}
+        m = [[0] * n for _ in range(n)]
+        for j, (_, centre) in enumerate(sequence):
+            cs = [position[c] for c in centre]
+            earlier = m[cs[0]][:j] if cs else []
+            if len(cs) == 2:
+                earlier = list(map(add, earlier, m[cs[1]][:j]))
+            m[j][:j] = earlier
+            for t, v in enumerate(earlier):
+                m[t][j] = v
+            m[j][j] = sum(earlier[c] for c in cs) + 1
+        order = [position[cid] for cid in self.ids]
+        return MultiplicityMatrix(
+            self.ids, [list(map(m[s].__getitem__, order)) for s in order]
+        )
+
+    @cached_property
+    def multiplicities(self) -> "MultiplicityMatrix":
+        """:meth:`multiplicity_matrix`, built once per graph instance."""
+        return self.multiplicity_matrix()
 
 
 class MultiplicityMatrix:

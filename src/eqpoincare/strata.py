@@ -16,7 +16,6 @@ component via the multiplicity matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .charring import CharacterRing
 from .resolution import MultiplicityMatrix, ResolutionGraph
@@ -98,12 +97,7 @@ class StratumModel:
                     raise StrataError(f"{where}: orbit size must be positive")
 
     def multiplicities(self) -> MultiplicityMatrix:
-        return _multiplicity_matrix(self.graph)
-
-
-@lru_cache(maxsize=None)
-def _multiplicity_matrix(graph: ResolutionGraph) -> MultiplicityMatrix:
-    return graph.multiplicity_matrix()
+        return self.graph.multiplicities
 
 
 def stratum_multiplicities(model: StratumModel, stratum: Stratum, targets) -> tuple:

@@ -34,3 +34,17 @@ def random_blowup_graph(rng: random.Random, extra_blowups: int) -> ResolutionGra
     return ResolutionGraph(
         tuple(sorted(self_int.items())), tuple(sorted(edges)), 0
     )
+
+
+def relabelled(rng: random.Random, graph: ResolutionGraph) -> ResolutionGraph:
+    """The same graph under fresh ids (strings and integers mixed), with
+    the component list, the edge list and each edge's ends shuffled."""
+    ids = list(graph.ids)
+    fresh = [f"c{k}" if k % 2 else 1000 + k for k in range(len(ids))]
+    rng.shuffle(fresh)
+    name = dict(zip(ids, fresh))
+    comps = [(name[cid], k) for cid, k in graph.components]
+    rng.shuffle(comps)
+    edges = [tuple(rng.sample((name[a], name[b]), 2)) for a, b in graph.edges]
+    rng.shuffle(edges)
+    return ResolutionGraph(tuple(comps), tuple(edges), name[graph.first_blown_up])

@@ -147,3 +147,63 @@ def test_negative_control_expected_factor(tmp_path, capsys):
     path = write_variant(tmp_path, perturb)
     assert run("check", path, "--degree", 6) == 2
     assert "FIRST DIFFERENCE" in capsys.readouterr().out
+
+
+def write_graph_job(tmp_path, components, edges, first):
+    """A trivial-group job on the given graph, one stratum per component."""
+    doc = {
+        "ring": {"orders": []},
+        "graph": {
+            "components": [{"id": c, "self_intersection": k} for c, k in components],
+            "edges": [list(e) for e in edges],
+            "first_blown_up": first,
+        },
+        "chosen": [first],
+        "strata": [{"carrier": [c], "chi": 0} for c, _ in components],
+    }
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_validate_rejects_e8(tmp_path, capsys):
+    # negative definite with determinant 1, but no (-1)-curve to blow down
+    path = write_graph_job(
+        tmp_path,
+        [(c, -2) for c in "ABCDEFGH"],
+        list(zip("ABCDEF", "BCDEFG")) + [("C", "H")],
+        "A",
+    )
+    assert run("validate", path) == 1
+    assert "does not blow down" in capsys.readouterr().err
+
+
+def test_validate_rejects_a_cycle(tmp_path, capsys):
+    path = write_graph_job(
+        tmp_path,
+        [(0, -2), (1, -3), (2, -2), (3, -2)],
+        [(0, 1), (1, 2), (2, 0), (2, 3)],
+        0,
+    )
+    assert run("validate", path) == 1
+    assert "cycle" in capsys.readouterr().err
+
+
+def test_validate_rejects_wrong_first_blown_up(tmp_path, capsys):
+    path = write_variant(tmp_path, lambda d: d["graph"].update(first_blown_up=1))
+    assert run("validate", path) == 1
+    assert "first_blown_up is 1 but the graph blows down to 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mutate,field", [
+    (lambda d: d["strata"].__setitem__(0, 5), "strata[0]"),
+    (lambda d: d["graph"]["components"][0].update(id=[1]), "graph.components[0].id"),
+    (lambda d: d.update(expected=[]), "expected"),
+    (lambda d: d["strata"][0].update(chi=True), "strata[0].chi"),
+    (lambda d: d["oracle"].update(sigma_x=[3]), "oracle.sigma_x"),
+], ids=["non-object stratum", "list id", "expected not an object", "bool chi",
+        "list oracle id"])
+def test_malformed_job_is_an_input_error(tmp_path, capsys, mutate, field):
+    path = write_variant(tmp_path, mutate)
+    assert run("validate", path) == 1
+    assert field in capsys.readouterr().err

@@ -7,7 +7,7 @@ from eqpoincare.resolution import (
     ResolutionGraph,
     integer_determinant,
 )
-from blowup import random_blowup_graph
+from blowup import random_blowup_graph, relabelled
 
 
 def chain(self_ints, e0):
@@ -106,3 +106,57 @@ def test_simulated_blowup_graphs_have_valid_matrices():
             for j in range(n):
                 acc = sum(e[i][k] * m.rows[k][j] for k in range(n))
                 assert acc == (-1 if i == j else 0)
+
+
+def test_simulated_blowup_graphs_at_full_size():
+    # E.M = -I against the intersection matrix, which does not go through
+    # the blow-down, on relabelled and reordered graphs of up to 40 components
+    rng = random.Random(20261018)
+    for trial in range(120):
+        g = relabelled(rng, random_blowup_graph(rng, rng.randrange(0, 40)))
+        e = g.intersection_matrix()
+        m = g.multiplicity_matrix()
+        assert m.ids == g.ids
+        columns = list(zip(*m.rows))
+        n = len(e)
+        for i in range(n):
+            for j in range(n):
+                acc = sum(a * b for a, b in zip(e[i], columns[j]))
+                assert acc == (-1 if i == j else 0)
+
+
+def test_blowup_sequence_of_the_cusp_chain():
+    # three blow-ups resolving y^2 = x^3: a free point on E1, then the
+    # satellite point E1 n E2
+    g = ResolutionGraph(((1, -3), (2, -2), (3, -1)), ((1, 3), (3, 2)), 1)
+    assert g.blowup_sequence() == ((1, ()), (2, (1,)), (3, (1, 2)))
+    assert g.multiplicity_matrix().rows == [[1, 1, 2], [1, 2, 3], [2, 3, 6]]
+
+
+def test_graphs_that_do_not_blow_down_are_rejected():
+    e8 = ResolutionGraph(
+        tuple((c, -2) for c in "ABCDEFGH"),
+        tuple(zip("ABCDEF", "BCDEFG")) + (("C", "H"),),
+        "A",
+    )
+    assert integer_determinant(e8.intersection_matrix()) == 1
+    with pytest.raises(GraphError, match="does not blow down"):
+        e8.multiplicity_matrix()
+    cycle = ResolutionGraph(
+        ((0, -2), (1, -3), (2, -2), (3, -2)), ((0, 1), (1, 2), (2, 0), (2, 3)), 0
+    )
+    with pytest.raises(GraphError, match="cycle"):
+        cycle.multiplicity_matrix()
+    with pytest.raises(GraphError, match="raises the self-intersection"):
+        chain([-1, -1], e0=1).multiplicity_matrix()
+
+
+def test_first_blown_up_must_be_the_blow_down_root():
+    with pytest.raises(GraphError, match="first_blown_up is 1 but the graph blows down to 2"):
+        chain([-1, -3, -1], e0=1).multiplicity_matrix()
+
+
+def test_matrix_is_built_once_per_graph():
+    g = chain([-1, -3, -1], e0=2)
+    assert g.multiplicities is g.multiplicities
+    assert g.multiplicities.rows == g.multiplicity_matrix().rows

@@ -75,11 +75,11 @@ def test_degree_must_be_multiple_of_reference_orbit():
 
 
 def test_carrier_entries_must_agree_on_character():
-    # two-component graph where the multiplicities to the marked
-    # component differ between the carrier entries
-    g = ResolutionGraph(((1, -1), (2, -2)), ((1, 2),), 1)
+    # cusp chain 1 -> 2 -> 3 where the multiplicities to the marked
+    # component differ between the carrier entries (M[1][1] = 1, M[3][1] = 2)
+    g = ResolutionGraph(((1, -3), (2, -2), (3, -1)), ((1, 3), (3, 2)), 1)
     ring = CharacterRing((3,))
-    st = Stratum((1, 2), 1, derivation=CharDerivation((1,), 1))
+    st = Stratum((1, 3), 1, derivation=CharDerivation((1,), 1))
     model = StratumModel(g, ring, (1,), (st,))
     with pytest.raises(StrataError, match="disagree"):
         derive_stratum_character(model, st)
