@@ -16,18 +16,27 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .engine import (
     curve_poincare,
     divisorial_poincare,
+    extraction_degree,
     quotient_extract,
     restrict_to_character,
 )
 from .jobs import Job, JobError, load_job
 from .oracle import oracle_poincare
 from .powerseries import render_machine, render_text, series_eq_upto
-from .strata import OrbitDecl, StratumModel, curve_strata, validate_strata
+from .strata import (
+    OrbitDecl,
+    StrataError,
+    StratumModel,
+    curve_strata,
+    resolve_character,
+    validate_strata,
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,15 +115,8 @@ def _curve_series(job: Job, degree: int):
 def _extract_series(job: Job, degree: int):
     if job.extract is None:
         raise JobError(f"job {job.name!r} has no extract section")
-    plan = job.extract.plan
-    available = job.extract.compute_degree // plan.max_denominator
-    if available < degree:
-        raise JobError(
-            f"extract.compute_degree {job.extract.compute_degree} only reaches "
-            f"output degree {available}, need {degree}"
-        )
-    full = divisorial_poincare(job.model, job.extract.compute_degree)
-    return quotient_extract(full, plan).truncate(degree)
+    full = divisorial_poincare(job.model, extraction_degree(job.model, job.extract, degree))
+    return quotient_extract(full, job.extract).truncate(degree)
 
 
 def _validation_lines(job: Job):
@@ -122,10 +124,11 @@ def _validation_lines(job: Job):
 
     Returns (lines, ok).  Loading has already checked the graph's shape;
     building the multiplicity matrix blows it down to its first
-    component, and a graph that fails raises.  Then the chi-weighted
-    bookkeeping per component orbit is checked, for the divisor and, when
-    a curve section is present, for the divisor with strict-transform
-    points removed.
+    component, and a graph that fails raises.  Then the character of every
+    stratum with chi != 0 is resolved, as the product formula needs it,
+    and the chi-weighted bookkeeping per component orbit is checked, for
+    the divisor and, when a curve section is present, for the divisor
+    with strict-transform points removed.
     """
     lines = []
     ok = True
@@ -135,7 +138,15 @@ def _validation_lines(job: Job):
         f"graph: {len(graph.components)} components, blows down to "
         f"{graph.first_blown_up!r}"
     )
-    lines.append(f"strata: {len(job.model.strata)} strata, characters resolve")
+    for st in job.model.strata:
+        if st.chi != 0:
+            try:
+                resolve_character(job.model, st)
+            except StrataError as e:
+                ok = False
+                lines.append(f"strata: {e}")
+    if ok:
+        lines.append(f"strata: {len(job.model.strata)} strata, characters resolve")
     if job.orbits is None:
         lines.append("orbits: none declared, bookkeeping not checked")
         return lines, ok
@@ -294,9 +305,16 @@ def main(argv=None) -> int:
         "check": cmd_check,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so that the
+        # interpreter's final flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

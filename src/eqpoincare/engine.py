@@ -30,7 +30,9 @@ the check that actually catches malformed tables.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .charring import CharacterRing
 from .powerseries import Series, SubstitutionPlan, factor_power, graded_lex_key, substitute_and_rescale
@@ -45,10 +47,10 @@ class EngineError(ValueError):
     pass
 
 
-def _stratum_factors(model: StratumModel, strata, targets, bound: int) -> Series:
-    s = len(targets)
-    ring = model.ring
-    factors = []
+def factors(model: StratumModel, strata, targets) -> list:
+    """Records (m, l, power) of the factors (1 - u^l t^m) ** power, one per
+    stratum with chi != 0, sorted graded-lex on m, then on l."""
+    records = []
     for st in strata:
         if st.chi == 0:
             continue
@@ -59,11 +61,15 @@ def _stratum_factors(model: StratumModel, strata, targets, bound: int) -> Series
                 f"{where}: zero weight vector with chi = {st.chi}; the factor "
                 "would not be a power series"
             )
-        l = resolve_character(model, st)
-        factors.append((m, l, -st.chi))
-    factors.sort(key=lambda f: (graded_lex_key(f[0]), f[1]))
+        records.append((m, resolve_character(model, st), -st.chi))
+    return sorted(records, key=lambda f: (graded_lex_key(f[0]), f[1]))
+
+
+def _stratum_factors(model: StratumModel, strata, targets, bound: int) -> Series:
+    s = len(targets)
+    ring = model.ring
     result = Series.one(s, bound, ring)
-    for m, l, power in factors:
+    for m, l, power in factors(model, strata, targets):
         result = result * factor_power(
             ring.monomial(l), m, power, num_vars=s, bound=bound, ring=ring
         )
@@ -75,6 +81,19 @@ def divisorial_poincare(model: StratumModel, bound: int) -> Series:
     filtration at the model's chosen components, through total degree
     ``bound``."""
     return _stratum_factors(model, model.strata, model.chosen, bound)
+
+
+def extraction_degree(model: StratumModel, plan: SubstitutionPlan, degree: int) -> int:
+    """Input degree at which :func:`quotient_extract` is exact through
+    output ``degree``: a term sum k_j m_j of factor weights (entries >= 1)
+    has input degree <= its output degree * max_j |m_j| / |plan(m_j)|,
+    where |plan(m)| = sum over kept i of m_i / den_i.  The ratio is at
+    least the largest denominator, so the rescaled bound reaches ``degree``."""
+    ratio = Fraction(plan.max_denominator)
+    for m, _, _ in factors(model, model.strata, model.chosen):
+        out = sum(Fraction(m[i], e[1]) for i, e in enumerate(plan.entries) if e is not None)
+        ratio = max(ratio, sum(m) / out)
+    return math.floor(degree * ratio)
 
 
 def curve_poincare(model: StratumModel, branches, adjusted_strata, bound: int) -> Series:

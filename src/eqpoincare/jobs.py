@@ -83,12 +83,6 @@ class ExpectedFactor:
 
 
 @dataclass(frozen=True)
-class ExtractSpec:
-    compute_degree: int
-    plan: SubstitutionPlan
-
-
-@dataclass(frozen=True)
 class CurveSpec:
     branches: tuple
     removed_points: tuple
@@ -100,7 +94,7 @@ class Job:
     model: StratumModel
     orbits: tuple | None = None
     curve: CurveSpec | None = None
-    extract: ExtractSpec | None = None
+    extract: SubstitutionPlan | None = None
     oracle: MonomialModel | None = None
     expected: dict = field(default_factory=dict)
 
@@ -112,7 +106,7 @@ class Job:
         if kind == "extract":
             if self.extract is None:
                 raise JobError(f"job {self.name!r}: expected extract without a plan")
-            num_vars = self.extract.plan.num_outputs
+            num_vars = self.extract.num_outputs
             ring = None
         elif kind == "curve":
             if self.curve is None:
@@ -191,6 +185,8 @@ def _parse_plan(items, num_vars):
     if seen != set(range(1, num_vars + 1)):
         missing = sorted(set(range(1, num_vars + 1)) - seen)
         raise JobError(f"extract.plan: variables {missing} not mapped")
+    if not any(entries):
+        raise JobError("extract.plan: drops every variable, nothing to extract")
     try:
         return SubstitutionPlan(tuple(entries))
     except ValueError as e:
@@ -302,11 +298,7 @@ def parse_job(data: dict, name: str = "job") -> Job:
     extract = None
     raw = _optional(data, "extract", "job", dict)
     if raw is not None:
-        plan = _parse_plan(_require(raw, "plan", "extract", list), len(chosen))
-        compute_degree = _require(raw, "compute_degree", "extract", int)
-        if compute_degree < 0:
-            raise JobError("extract.compute_degree must be >= 0")
-        extract = ExtractSpec(compute_degree, plan)
+        extract = _parse_plan(_require(raw, "plan", "extract", list), len(chosen))
 
     oracle = None
     raw = _optional(data, "oracle", "job", dict)
@@ -359,7 +351,7 @@ def parse_job(data: dict, name: str = "job") -> Job:
     arity = {
         "divisorial": len(chosen),
         "curve": len(curve.branches) if curve is not None else None,
-        "extract": extract.plan.num_outputs if extract is not None else None,
+        "extract": extract.num_outputs if extract is not None else None,
     }
     for kind, factors in expected.items():
         for i, f in enumerate(factors):

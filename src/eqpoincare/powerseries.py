@@ -305,8 +305,8 @@ def substitute_and_rescale(series: Series, plan: SubstitutionPlan) -> Series:
     D * max_denominator, so coefficients up to that bound are determined
     by the input as far as the kept variables are concerned.  (When the
     plan drops variables the caller must also have computed the input
-    deeply enough in the dropped directions; the fixture jobs pin their
-    own input degrees for exactly this reason.)  Exponents of kept
+    deeply enough in the dropped directions; see
+    :func:`eqpoincare.engine.extraction_degree`.)  Exponents of kept
     variables must divide exactly; anything else would silently corrupt
     the result, so it raises :class:`DivisibilityError`.
     """

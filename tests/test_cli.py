@@ -1,5 +1,8 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ from eqpoincare.jobs import load_job
 from eqpoincare.powerseries import parse_machine, series_eq_upto
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
+SRC = JOBS.parent / "src"
 
 
 def run(*args):
@@ -78,15 +82,23 @@ def test_extract_to_file(tmp_path, capsys):
     assert ok, diff
 
 
-def test_extract_degree_beyond_compute_budget(capsys):
-    assert run("extract", JOBS / "example1.json", "--degree", 17) == 1
-    assert "only reaches" in capsys.readouterr().err
+def test_extract_beyond_the_shipped_compute_degree(capsys):
+    # the input degree comes from the factor weights, not from the job file
+    assert run("extract", JOBS / "example1.json", "--degree", 20,
+               "--format", "machine") == 0
+    series = parse_machine(json.loads(capsys.readouterr().out))
+    job = load_job(JOBS / "example1.json")
+    ok, diff = series_eq_upto(series, job.expected_series("extract", 20), 20)
+    assert ok, diff
 
 
 @pytest.mark.parametrize("name,degree", [
     ("example1", 8),
     ("example2", 8),
     ("example3", 8),
+    ("example1", 16),
+    ("example2", 14),
+    ("example3", 12),
     ("single_blowup", 12),
     ("node_curve", 10),
 ])
@@ -139,6 +151,33 @@ def test_negative_control_chi(tmp_path, capsys):
     assert "MISMATCH" in out.out
     # check refuses to compare on top of a failed validation
     assert run("check", path, "--degree", 6) == 1
+
+
+def test_validate_resolves_characters(tmp_path, capsys):
+    def perturb(doc):
+        doc["strata"][0]["character"]["exponents"] = [2]
+    path = write_variant(tmp_path, perturb)
+    assert run("validate", path) == 1
+    out = capsys.readouterr()
+    assert "declared character (2,) but derivation gives (1,)" in out.out
+    assert "characters resolve" not in out.out
+    assert "validation failed" in out.err
+
+
+def test_closed_stdout_is_not_a_traceback():
+    # 130 kB of text, more than a pipe holds, so the writer meets the
+    # closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "eqpoincare.cli", "compute",
+         str(JOBS / "example1.json"), "--degree", "400"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err, err
 
 
 def test_negative_control_expected_factor(tmp_path, capsys):

@@ -7,6 +7,8 @@ from eqpoincare.engine import (
     augmented_series,
     curve_poincare,
     divisorial_poincare,
+    extraction_degree,
+    factors,
     poincare_from_dimensions,
     quotient_extract,
     restrict_to_character,
@@ -213,3 +215,28 @@ def test_quotient_extract_takes_trivial_part_first():
     assert q.coefficient((2, 2)) == 1
     assert q.coefficient((1, 2)) == 1
     assert q.coefficient((1, 0)) == 0
+
+
+def test_factors_skip_strata_with_zero_chi():
+    model = three_chain_model()
+    # the two point strata with chi = 1, in graded-lex order on m; the
+    # three chi = 0 component strata drop out
+    assert factors(model, model.strata, model.chosen) == [
+        ((1, 1, 2), (2,), -1),
+        ((2, 1, 1), (1,), -1),
+    ]
+
+
+def test_extraction_degree_reaches_the_dropped_direction():
+    model = three_chain_model()
+    plan = SubstitutionPlan(((0, 3), None, (1, 3)))
+    degree = 16
+    n = extraction_degree(model, plan, degree)
+    assert n >= degree * plan.max_denominator
+    got = quotient_extract(divisorial_poincare(model, n), plan).truncate(degree)
+    deeper = quotient_extract(divisorial_poincare(model, 2 * n), plan).truncate(degree)
+    assert got == deeper
+    # the largest denominator alone misses terms that pass through the
+    # dropped variable
+    short = degree * plan.max_denominator
+    assert quotient_extract(divisorial_poincare(model, short), plan) != deeper

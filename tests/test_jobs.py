@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from eqpoincare.engine import divisorial_poincare
+from eqpoincare.engine import divisorial_poincare, extraction_degree, quotient_extract
 from eqpoincare.jobs import JobError, load_job, parse_job
 from eqpoincare.powerseries import series_eq_upto
 
@@ -23,8 +23,8 @@ def test_load_example1():
     assert job.model.chosen == (1, 2, 3)
     assert len(job.model.strata) == 5
     assert job.curve is not None and len(job.curve.branches) == 1
-    assert job.extract.plan.max_denominator == 3
-    assert job.extract.plan.num_outputs == 2
+    assert job.extract.max_denominator == 3
+    assert job.extract.num_outputs == 2
     assert job.oracle is not None and job.oracle.order == 3
     assert set(job.expected) == {"divisorial", "curve", "extract"}
     assert job.orbits is not None and len(job.orbits) == 3
@@ -100,10 +100,22 @@ def test_plan_outputs_must_be_dense():
         parse_job(doc)
 
 
-def test_negative_compute_degree():
+def test_job_without_compute_degree_extracts():
     doc = example1_doc()
-    doc["extract"]["compute_degree"] = -1
-    with pytest.raises(JobError, match="compute_degree"):
+    del doc["extract"]["compute_degree"]
+    job = parse_job(doc)
+    degree = 16
+    full = divisorial_poincare(job.model, extraction_degree(job.model, job.extract, degree))
+    got = quotient_extract(full, job.extract).truncate(degree)
+    ok, diff = series_eq_upto(got, job.expected_series("extract", degree), degree)
+    assert ok, diff
+
+
+def test_plan_must_keep_a_variable():
+    doc = example1_doc()
+    doc["extract"]["plan"] = [{"variable": v, "drop": True} for v in (1, 2, 3)]
+    del doc["expected"]["extract"]
+    with pytest.raises(JobError, match="extract.plan: drops every variable"):
         parse_job(doc)
 
 
