@@ -312,6 +312,21 @@ def parse_job(data: dict, name: str = "job") -> Job:
                     f"oracle.curve_axes lists {len(axes)} axes for "
                     f"{len(curve.branches)} branches"
                 )
+            if not axes:
+                raise JobError("oracle.curve_axes: lists no axes; the curve count "
+                               "needs a branch")
+        sigma_x = _optional(raw, "sigma_x", "oracle", (str, int))
+        sigma_y = _optional(raw, "sigma_y", "oracle", (str, int))
+        if (sigma_x is None) != (sigma_y is None):
+            missing = "sigma_x" if sigma_x is None else "sigma_y"
+            raise JobError(
+                f"oracle.{missing}: missing; sigma_x and sigma_y come as a pair"
+            )
+        for key, sigma in (("sigma_x", sigma_x), ("sigma_y", sigma_y)):
+            if sigma is not None and sigma not in set(graph.ids):
+                raise JobError(f"oracle.{key}: component {sigma!r} unknown")
+        if sigma_x is None and axes is None:
+            raise JobError("oracle: needs sigma_x and sigma_y, or curve_axes")
         weights = _int_list(_require(raw, "weights", "oracle"), "oracle.weights")
         if len(weights) != 2:
             raise JobError("oracle.weights must be a pair")
@@ -319,8 +334,8 @@ def parse_job(data: dict, name: str = "job") -> Job:
             oracle = MonomialModel(
                 _require(raw, "order", "oracle", int),
                 weights,
-                sigma_x=_optional(raw, "sigma_x", "oracle", (str, int)),
-                sigma_y=_optional(raw, "sigma_y", "oracle", (str, int)),
+                sigma_x=sigma_x,
+                sigma_y=sigma_y,
                 curve_axes=tuple(axes) if axes is not None else None,
             )
         except ValueError as e:

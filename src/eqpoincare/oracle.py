@@ -1,23 +1,41 @@
 """Brute-force monomial oracle for cyclic diagonal actions.
 
 For a cyclic group of order m acting diagonally on coordinates, the
-monomials x^a y^b are simultaneous eigenfunctions, so equivariant
-dimensions of filtration pieces can be counted outright: the character
-of x^a y^b has exponent -(k*a + l*b) mod m when the generator scales x
-by the k-th and y by the l-th power of the root of unity, and its
-valuations are linear in (a, b).  The oracle builds, per character, the
-table d(v) = number of monomials sitting at filtration position exactly
-v (weight componentwise >= v but not >= v + 1), then hands the tables
-to the engine's dimension pipeline.  It never touches the stratum
-product formula, which is the point: the two routes are independent.
+monomials x^a y^b are simultaneous eigenfunctions: the character of
+x^a y^b has exponent -(k*a + l*b) mod m when the generator scales x by
+the k-th and y by the l-th power of the root of unity, and its
+valuations w(a, b) are linear in (a, b).  The filtration is spanned by
+monomials, so the Poincare series is the sum
 
-Counting is organised per monomial: each monomial contributes 1 to
-exactly the box entries v <= w having v_j = w_j at some finite
-coordinate, so the oracle walks that shell instead of rescanning the
-whole box for every entry.  Monomials with a + b beyond box never
-intersect the box (divisorial weights grow at least like a + b), and in
-the curve case every finite weight coordinate equals a or b, so
-enumerating a, b up to the box bound is exhaustive.
+    P(t) = sum of u^chi(a,b) * t^w(a,b)
+
+over the monomials whose valuations are all finite (torus localisation,
+chi(X) = chi(X^T); Campillo, Delgado and Gusein-Zade, Duke Math. J. 117,
+2003).  :func:`oracle_poincare` computes that sum.  It never touches the
+stratum product formula, which is the point: the two routes are
+independent.
+
+The walk over (a, b) is exhaustive through total degree D with these
+bounds.  Divisorial mode: every multiplicity entry is >= 1, so
+|w(a, b)| >= a + b and only a + b <= D is needed.  Curve mode: a branch
+"x=0" has valuation b at a = 0 and infinity elsewhere, a branch "y=0"
+has a at b = 0, so only monomials on an axis can have all valuations
+finite; a = 0 is forced when some branch is "x=0", b = 0 when some
+branch is "y=0", and the walk is O(D).
+
+The dimension route is kept as the reference the sum is tested
+against: :func:`oracle_tables` builds, per character, the table
+d(v) = number of monomials sitting at filtration position exactly v
+(weight componentwise >= v but not >= v + 1), which is the paper's
+definition through dim J(v)/J(v+1), and the engine's
+:func:`~eqpoincare.engine.poincare_from_dimensions` assembles the
+series from it.  Counting is organised per monomial: each monomial
+contributes 1 to exactly the box entries v <= w having v_j = w_j at
+some finite coordinate, so the tables walk that shell instead of
+rescanning the whole box for every entry.  Monomials with a + b beyond
+the box never intersect it (divisorial weights grow at least like
+a + b), and in the curve case every finite weight coordinate equals a
+or b, so enumerating a, b up to the box bound is exhaustive.
 """
 
 from __future__ import annotations
@@ -25,6 +43,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 from .charring import cyclic_character_ring
@@ -121,6 +140,24 @@ def _curve_valuation(mm: MonomialModel):
     return valuation, len(mm.curve_axes)
 
 
+def _valuation(mm: MonomialModel, model: StratumModel, mode: str):
+    """The valuation map of ``mode``, its number of coordinates and the
+    character ring, once the oracle is known to fit the model."""
+    if mode == "divisorial":
+        valuation, s = _divisorial_valuation(mm, model)
+    elif mode == "curve":
+        valuation, s = _curve_valuation(mm)
+    else:
+        raise OracleError(f"unknown oracle mode {mode!r}")
+    ring = mm.ring()
+    if model.ring != ring:
+        raise OracleError(
+            f"model ring orders {model.ring.orders} do not match the cyclic "
+            f"order {mm.order}"
+        )
+    return valuation, s, ring
+
+
 def _shell(w, box):
     """Box points v <= w with v_j = w_j at some finite coordinate,
     each yielded exactly once (dedup by the first such coordinate)."""
@@ -151,18 +188,7 @@ def oracle_tables(mm: MonomialModel, model: StratumModel, degree: int,
     Keyed by character exponent tuple, or by ``None`` for the single
     whole-ring table when ``per_character`` is false.
     """
-    if mode == "divisorial":
-        valuation, s = _divisorial_valuation(mm, model)
-    elif mode == "curve":
-        valuation, s = _curve_valuation(mm)
-    else:
-        raise OracleError(f"unknown oracle mode {mode!r}")
-    ring = mm.ring()
-    if model.ring != ring:
-        raise OracleError(
-            f"model ring orders {model.ring.orders} do not match the cyclic "
-            f"order {mm.order}"
-        )
+    valuation, s, ring = _valuation(mm, model, mode)
     box = degree + 1
     counts: dict = {}
     for a in range(box + 2):
@@ -182,9 +208,19 @@ def oracle_tables(mm: MonomialModel, model: StratumModel, degree: int,
 
 def oracle_poincare(mm: MonomialModel, model: StratumModel, degree: int,
                     mode: str = "divisorial") -> Series:
-    """Equivariant series by brute-force counting, per character."""
-    tables = oracle_tables(mm, model, degree, mode=mode, per_character=True)
-    return poincare_from_dimensions(tables, model.ring, degree)
+    """Equivariant series through ``degree`` as the sum of
+    u^chi(a,b) t^w(a,b) over the monomials with all valuations finite."""
+    valuation, s, ring = _valuation(mm, model, mode)
+    axes = mm.curve_axes if mode == "curve" else ()
+    a_top = 0 if "x=0" in axes else degree
+    b_top = 0 if "y=0" in axes else degree
+    counts: dict = {}
+    for a in range(a_top + 1):
+        for b in range(min(b_top, degree - a) + 1):
+            w = valuation(a, b)
+            if INF not in w and sum(w) <= degree:
+                counts.setdefault(w, Counter())[monomial_character(mm, a, b)] += 1
+    return Series(s, degree, ring, {w: ring.element(per) for w, per in counts.items()})
 
 
 def oracle_whole_series(mm: MonomialModel, model: StratumModel, degree: int,

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from eqpoincare import cli
-from eqpoincare.engine import divisorial_poincare
+from eqpoincare.engine import curve_poincare, divisorial_poincare
 from eqpoincare.jobs import load_job
 from eqpoincare.powerseries import parse_machine, series_eq_upto
 
@@ -113,6 +113,31 @@ def test_check_oracle_fixture_agrees(capsys):
     # restricted chain small enough for the 4-variable monomial count
     assert run("check", JOBS / "example2_oracle.json", "--degree", 6) == 0
     assert "monomial count" in capsys.readouterr().out
+
+
+def test_check_expands_each_engine_series_once(monkeypatch, capsys):
+    calls = []
+
+    def counted(model, bound):
+        calls.append(bound)
+        return divisorial_poincare(model, bound)
+
+    monkeypatch.setattr(cli, "divisorial_poincare", counted)
+    # compared against the expected factors and the monomial count
+    assert run("check", JOBS / "example2_oracle.json", "--degree", 6) == 0
+    assert calls == [6]
+    assert capsys.readouterr().out.count("divisorial engine vs") == 2
+
+    curves = []
+
+    def counted_curve(model, branches, adjusted, bound):
+        curves.append(bound)
+        return curve_poincare(model, branches, adjusted, bound)
+
+    monkeypatch.setattr(cli, "curve_poincare", counted_curve)
+    assert run("check", JOBS / "example1.json", "--degree", 8) == 0
+    assert curves == [8]
+    assert capsys.readouterr().out.count("curve engine vs") == 2
 
 
 def test_check_requires_some_comparison(tmp_path, capsys):
@@ -240,8 +265,15 @@ def test_validate_rejects_wrong_first_blown_up(tmp_path, capsys):
     (lambda d: d.update(expected=[]), "expected"),
     (lambda d: d["strata"][0].update(chi=True), "strata[0].chi"),
     (lambda d: d["oracle"].update(sigma_x=[3]), "oracle.sigma_x"),
+    (lambda d: d["oracle"].update(sigma_x=99), "oracle.sigma_x: component 99 unknown"),
+    (lambda d: d["oracle"].pop("sigma_y"), "oracle.sigma_y: missing"),
+    (lambda d: [d["oracle"].pop(k) for k in ("sigma_x", "sigma_y", "curve_axes")],
+     "oracle: needs sigma_x and sigma_y, or curve_axes"),
+    (lambda d: (d["curve"].update(branches=[]), d["oracle"].update(curve_axes=[])),
+     "oracle.curve_axes: lists no axes"),
 ], ids=["non-object stratum", "list id", "expected not an object", "bool chi",
-        "list oracle id"])
+        "list oracle id", "unknown oracle id", "sigma without its pair",
+        "oracle with no axes", "empty curve axes"])
 def test_malformed_job_is_an_input_error(tmp_path, capsys, mutate, field):
     path = write_variant(tmp_path, mutate)
     assert run("validate", path) == 1

@@ -6,6 +6,7 @@ import pytest
 
 from eqpoincare.engine import divisorial_poincare, extraction_degree, quotient_extract
 from eqpoincare.jobs import JobError, load_job, parse_job
+from eqpoincare.oracle import oracle_poincare
 from eqpoincare.powerseries import series_eq_upto
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
@@ -231,12 +232,26 @@ def test_example3_divisorial_beyond_constant_term():
 
 
 def test_example2_oracle_beyond_constant_term():
-    # slow-ish (a few seconds): the 4-variable monomial count at degree 10,
-    # where the restricted weight vectors first contribute
-    from eqpoincare.oracle import oracle_poincare
-
+    # the 4-variable monomial count at degree 10, where the restricted
+    # weight vectors first contribute
     job = load_job(JOBS / "example2_oracle.json")
     engine = divisorial_poincare(job.model, 10)
     counted = oracle_poincare(job.oracle, job.model, 10)
     ok, diff = series_eq_upto(engine, counted, 10)
     assert ok, diff
+
+
+@pytest.mark.parametrize("name,degree,terms", [
+    ("example2_oracle", 60, 28),
+    ("example1", 48, None),
+    ("single_blowup", 200, 201),
+])
+def test_oracle_at_high_degree(name, degree, terms):
+    job = load_job(JOBS / f"{name}.json")
+    engine = divisorial_poincare(job.model, degree)
+    counted = oracle_poincare(job.oracle, job.model, degree)
+    if terms is not None:
+        assert len(counted.terms) == terms
+    for other in (counted, job.expected_series("divisorial", degree)):
+        ok, diff = series_eq_upto(engine, other, degree)
+        assert ok, diff

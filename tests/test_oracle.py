@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -7,8 +8,10 @@ from eqpoincare.engine import (
     augmented_series,
     curve_poincare,
     divisorial_poincare,
+    poincare_from_dimensions,
     restrict_to_character,
 )
+from eqpoincare.jobs import load_job
 from eqpoincare.oracle import (
     INF,
     MonomialModel,
@@ -29,6 +32,8 @@ from eqpoincare.strata import (
 )
 
 from test_strata import three_chain_model
+
+JOBS = Path(__file__).resolve().parent.parent / "jobs"
 
 
 def z3_monomials():
@@ -83,6 +88,24 @@ def test_oracle_matches_engine_on_three_chain():
         assert restrict_to_character(oracle, alpha) == restrict_to_character(
             engine, alpha
         )
+
+
+@pytest.mark.parametrize("name,mode,degree", [
+    ("example1", "divisorial", 6),
+    ("example1", "curve", 12),
+    ("example2_oracle", "divisorial", 4),
+    ("node_curve", "curve", 12),
+    ("single_blowup", "divisorial", 20),
+])
+def test_monomial_sum_matches_dimension_route(name, mode, degree):
+    job = load_job(JOBS / f"{name}.json")
+    summed = oracle_poincare(job.oracle, job.model, degree, mode=mode)
+    tables = oracle_tables(job.oracle, job.model, degree, mode=mode)
+    assembled = poincare_from_dimensions(tables, job.model.ring, degree)
+    assert summed.bound == assembled.bound == degree
+    assert summed == assembled
+    whole = oracle_whole_series(job.oracle, job.model, degree, mode=mode)
+    assert whole == augmented_series(summed)
 
 
 def test_whole_ring_is_augmentation():
