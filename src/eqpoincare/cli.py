@@ -23,7 +23,7 @@ import sys
 from .engine import (
     curve_poincare,
     divisorial_poincare,
-    extraction_degree,
+    plan_poincare,
     quotient_extract,
     restrict_to_character,
 )
@@ -116,8 +116,7 @@ def _curve_series(job: Job, degree: int):
 def _extract_series(job: Job, degree: int):
     if job.extract is None:
         raise JobError(f"job {job.name!r} has no extract section")
-    full = divisorial_poincare(job.model, extraction_degree(job.model, job.extract, degree))
-    return quotient_extract(full, job.extract).truncate(degree)
+    return quotient_extract(*plan_poincare(job.model, job.extract, degree))
 
 
 def _validation_lines(job: Job):

@@ -32,7 +32,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .charring import CharacterRing
 from .powerseries import Series, SubstitutionPlan, factor_power, graded_lex_key, substitute_and_rescale
@@ -65,13 +64,12 @@ def factors(model: StratumModel, strata, targets) -> list:
     return sorted(records, key=lambda f: (graded_lex_key(f[0]), f[1]))
 
 
-def _stratum_factors(model: StratumModel, strata, targets, bound: int) -> Series:
-    s = len(targets)
-    ring = model.ring
-    result = Series.one(s, bound, ring)
-    for m, l, power in factors(model, strata, targets):
+def _expand(records, num_vars: int, bound: int, ring: CharacterRing) -> Series:
+    """Product of the (m, l, power) factor records through total degree bound."""
+    result = Series.one(num_vars, bound, ring)
+    for m, l, power in records:
         result = result * factor_power(
-            ring.monomial(l), m, power, num_vars=s, bound=bound, ring=ring
+            ring.monomial(l), m, power, num_vars=num_vars, bound=bound, ring=ring
         )
     return result
 
@@ -80,20 +78,29 @@ def divisorial_poincare(model: StratumModel, bound: int) -> Series:
     """Equivariant Poincare series of the multi-index divisorial
     filtration at the model's chosen components, through total degree
     ``bound``."""
-    return _stratum_factors(model, model.strata, model.chosen, bound)
+    records = factors(model, model.strata, model.chosen)
+    return _expand(records, len(model.chosen), bound, model.ring)
 
 
-def extraction_degree(model: StratumModel, plan: SubstitutionPlan, degree: int) -> int:
-    """Input degree at which :func:`quotient_extract` is exact through
-    output ``degree``: a term sum k_j m_j of factor weights (entries >= 1)
-    has input degree <= its output degree * max_j |m_j| / |plan(m_j)|,
-    where |plan(m)| = sum over kept i of m_i / den_i.  The ratio is at
-    least the largest denominator, so the rescaled bound reaches ``degree``."""
-    ratio = Fraction(plan.max_denominator)
-    for m, _, _ in factors(model, model.strata, model.chosen):
-        out = sum(Fraction(m[i], e[1]) for i, e in enumerate(plan.entries) if e is not None)
-        ratio = max(ratio, sum(m) / out)
-    return math.floor(degree * ratio)
+def plan_poincare(model: StratumModel, plan: SubstitutionPlan, degree: int):
+    """The divisorial series with ``plan`` applied to every factor, and the
+    plan that rescales it: :func:`quotient_extract` of the pair is exact
+    through output ``degree``.  With L the lcm of the kept denominators, a
+    weight m becomes w_j = sum of m_i * L / den_i over the inputs sent to
+    output j.  Entries of m are >= 1 and a variable is kept, so |w| >= 1 and
+    total degree ``degree * L`` holds every term of output degree <= ``degree``.
+    """
+    lcm = math.lcm(*(e[1] for e in plan.entries if e is not None))
+    k = plan.num_outputs
+    records = []
+    for m, l, power in factors(model, model.strata, model.chosen):
+        w = [0] * k
+        for mi, entry in zip(m, plan.entries, strict=True):
+            if entry is not None:
+                w[entry[0]] += mi * (lcm // entry[1])
+        records.append((tuple(w), l, power))
+    rescale = SubstitutionPlan(tuple((j, lcm) for j in range(k)))
+    return _expand(records, k, degree * lcm, model.ring), rescale
 
 
 def curve_poincare(model: StratumModel, branches, adjusted_strata, bound: int) -> Series:
@@ -112,8 +119,8 @@ def curve_poincare(model: StratumModel, branches, adjusted_strata, bound: int) -
     for b in branches:
         if b.attach not in known:
             raise EngineError(f"branch attaches to unknown component {b.attach!r}")
-    targets = tuple(b.attach for b in branches)
-    return _stratum_factors(model, adjusted_strata, targets, bound)
+    records = factors(model, adjusted_strata, [b.attach for b in branches])
+    return _expand(records, len(branches), bound, model.ring)
 
 
 @dataclass(frozen=True)

@@ -302,11 +302,10 @@ def substitute_and_rescale(series: Series, plan: SubstitutionPlan) -> Series:
 
     The output is truncated at floor(bound / max denominator): a term of
     output total degree D pulls back from kept-variable degree at most
-    D * max_denominator, so coefficients up to that bound are determined
-    by the input as far as the kept variables are concerned.  (When the
-    plan drops variables the caller must also have computed the input
-    deeply enough in the dropped directions; see
-    :func:`eqpoincare.engine.extraction_degree`.)  Exponents of kept
+    D * max_denominator.  A plan that drops variables backs that bound only
+    for input expanded deep enough in the dropped directions too; the
+    package's own extraction passes none (it substitutes into the factors
+    first, :func:`eqpoincare.engine.plan_poincare`).  Exponents of kept
     variables must divide exactly; anything else would silently corrupt
     the result, so it raises :class:`DivisibilityError`.
     """
@@ -335,12 +334,6 @@ def substitute_and_rescale(series: Series, plan: SubstitutionPlan) -> Series:
         key = tuple(key)
         out[key] = out.get(key, zero) + c
     return Series(t, out_bound, series.ring, out)
-
-
-def _coeff_text(c) -> str:
-    if isinstance(c, int):
-        return f"{c}"
-    raise TypeError("character coefficients are flattened before rendering")
 
 
 def render_text(series: Series) -> str:

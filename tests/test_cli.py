@@ -82,14 +82,30 @@ def test_extract_to_file(tmp_path, capsys):
     assert ok, diff
 
 
-def test_extract_beyond_the_shipped_compute_degree(capsys):
-    # the input degree comes from the factor weights, not from the job file
-    assert run("extract", JOBS / "example1.json", "--degree", 20,
+@pytest.mark.parametrize("name,degree", [
+    ("example1", 80),
+    ("example2", 80),
+    ("example3", 50),
+])
+def test_extract_beyond_the_shipped_compute_degree(name, degree, capsys):
+    # extract.compute_degree in the job file is not read
+    assert run("extract", JOBS / f"{name}.json", "--degree", degree,
                "--format", "machine") == 0
     series = parse_machine(json.loads(capsys.readouterr().out))
-    job = load_job(JOBS / "example1.json")
-    ok, diff = series_eq_upto(series, job.expected_series("extract", 20), 20)
+    assert series.bound == degree
+    job = load_job(JOBS / f"{name}.json")
+    ok, diff = series_eq_upto(series, job.expected_series("extract", degree), degree)
     assert ok, diff
+
+
+def test_extract_checks_divisibility(tmp_path, capsys):
+    def halve(doc):
+        for entry in doc["extract"]["plan"]:
+            if not entry.get("drop"):
+                entry["denominator"] = 2
+
+    assert run("extract", write_variant(tmp_path, halve), "--degree", 6) == 1
+    assert "not divisible" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name,degree", [
@@ -127,6 +143,13 @@ def test_check_expands_each_engine_series_once(monkeypatch, capsys):
     assert run("check", JOBS / "example2_oracle.json", "--degree", 6) == 0
     assert calls == [6]
     assert capsys.readouterr().out.count("divisorial engine vs") == 2
+    # quotient extraction expands the factors in its own output variables
+    for name, degree in (("example1", 8), ("example2", 14), ("example3", 12)):
+        calls.clear()
+        assert run("check", JOBS / f"{name}.json", "--degree", degree) == 0
+        assert calls == [degree]
+        out = capsys.readouterr().out
+        assert "check quotient extraction vs expected factors: agree" in out
 
     curves = []
 

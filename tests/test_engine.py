@@ -7,8 +7,8 @@ from eqpoincare.engine import (
     augmented_series,
     curve_poincare,
     divisorial_poincare,
-    extraction_degree,
     factors,
+    plan_poincare,
     poincare_from_dimensions,
     quotient_extract,
     restrict_to_character,
@@ -227,16 +227,30 @@ def test_factors_skip_strata_with_zero_chi():
     ]
 
 
-def test_extraction_degree_reaches_the_dropped_direction():
+def test_plan_poincare_reaches_the_dropped_direction():
     model = three_chain_model()
     plan = SubstitutionPlan(((0, 3), None, (1, 3)))
     degree = 16
-    n = extraction_degree(model, plan, degree)
-    assert n >= degree * plan.max_denominator
-    got = quotient_extract(divisorial_poincare(model, n), plan).truncate(degree)
-    deeper = quotient_extract(divisorial_poincare(model, 2 * n), plan).truncate(degree)
+    got = quotient_extract(*plan_poincare(model, plan, degree))
+    assert got.bound == degree
+    deeper = quotient_extract(divisorial_poincare(model, 128), plan).truncate(degree)
     assert got == deeper
     # the largest denominator alone misses terms that pass through the
-    # dropped variable
+    # dropped variable, although the extraction claims bound 16 for it
     short = degree * plan.max_denominator
     assert quotient_extract(divisorial_poincare(model, short), plan) != deeper
+
+
+def test_plan_poincare_merges_variables():
+    model = three_chain_model()
+    plan = SubstitutionPlan(((0, 1), None, (0, 1)))
+    got = quotient_extract(*plan_poincare(model, plan, 12))
+    assert got == quotient_extract(divisorial_poincare(model, 48), plan).truncate(12)
+    # trivial characters i = j mod 3 of i*(2,1,1) + j*(1,1,2): i = j = 1 gives T^6
+    assert got.coefficient((6,)) == 1
+    assert got.coefficient((3,)) == 0
+
+
+def test_plan_poincare_needs_an_entry_per_chosen_component():
+    with pytest.raises(ValueError):
+        plan_poincare(three_chain_model(), SubstitutionPlan(((0, 3), (1, 3))), 4)

@@ -4,10 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from eqpoincare.engine import divisorial_poincare, extraction_degree, quotient_extract
+from eqpoincare import cli
+from eqpoincare.engine import divisorial_poincare
 from eqpoincare.jobs import JobError, load_job, parse_job
 from eqpoincare.oracle import oracle_poincare
-from eqpoincare.powerseries import series_eq_upto
+from eqpoincare.powerseries import parse_machine, series_eq_upto
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
 
@@ -101,14 +102,14 @@ def test_plan_outputs_must_be_dense():
         parse_job(doc)
 
 
-def test_job_without_compute_degree_extracts():
+def test_job_without_compute_degree_extracts(tmp_path, capsys):
     doc = example1_doc()
     del doc["extract"]["compute_degree"]
-    job = parse_job(doc)
-    degree = 16
-    full = divisorial_poincare(job.model, extraction_degree(job.model, job.extract, degree))
-    got = quotient_extract(full, job.extract).truncate(degree)
-    ok, diff = series_eq_upto(got, job.expected_series("extract", degree), degree)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["extract", str(path), "--degree", "16", "--format", "machine"]) == 0
+    got = parse_machine(json.loads(capsys.readouterr().out))
+    ok, diff = series_eq_upto(got, parse_job(doc).expected_series("extract", 16), 16)
     assert ok, diff
 
 
