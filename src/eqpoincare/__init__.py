@@ -23,6 +23,7 @@ from .oracle import MonomialModel, oracle_poincare, oracle_whole_series
 from .powerseries import (
     Series,
     SubstitutionPlan,
+    expand,
     factor_power,
     parse_machine,
     render_machine,
@@ -63,6 +64,7 @@ __all__ = [
     "curve_strata",
     "cyclic_character_ring",
     "divisorial_poincare",
+    "expand",
     "factor_power",
     "load_job",
     "oracle_poincare",

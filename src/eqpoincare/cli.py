@@ -7,6 +7,7 @@ Subcommands operate on a job file (see the jobs module for the schema):
                            [--character a,b,...] [--format text|machine]
     eqpoincare extract JOB --degree N [--format text|machine]
     eqpoincare check JOB --degree N
+    eqpoincare explain JOB
 
 Exit codes: 0 success, 1 input or validation failure, 2 a comparison in
 ``check`` found a difference.
@@ -23,6 +24,7 @@ import sys
 from .engine import (
     curve_poincare,
     divisorial_poincare,
+    factor_rows,
     plan_poincare,
     quotient_extract,
     restrict_to_character,
@@ -76,6 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="compare every route the job provides")
     add_common(p)
+
+    p = sub.add_parser("explain", help="list the factors (1 - u^l t^m)^(-chi) "
+                                       "the product route expands")
+    add_common(p, degree=False)
     return parser
 
 
@@ -294,6 +300,20 @@ def cmd_check(args) -> int:
     return 0
 
 
+def cmd_explain(args) -> int:
+    job = load_job(args.job)
+    tables = [("divisorial", job.model.strata, job.model.chosen)]
+    if job.curve is not None and job.curve.branches:
+        adjusted, _ = curve_strata(job.model, job.curve.removed_points)
+        tables.append(("curve", adjusted, [b.attach for b in job.curve.branches]))
+    for kind, strata, targets in tables:
+        print(f"{kind} factors (1 - u^l t^m)^(-chi), t indexed by {list(targets)}:")
+        for st, (m, l, _) in factor_rows(job.model, strata, targets):
+            print(f"  label={st.label!r} carrier={list(st.carrier)} chi={st.chi} "
+                  f"m={m} l={l}")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -307,6 +327,7 @@ def main(argv=None) -> int:
         "compute": cmd_compute,
         "extract": cmd_extract,
         "check": cmd_check,
+        "explain": cmd_explain,
     }
     try:
         code = handlers[args.command](args)

@@ -11,8 +11,13 @@ characteristic, the factors
 where l is the stratum character and m its multi-index weight vector at
 the chosen components (divisorial case) or at the branch attachment
 components (curve case).  Strata with chi = 0 drop out, so their
-characters are never needed.  Factors are multiplied in a deterministic
-order (graded-lex on m, then on l) so reruns are bit-identical.
+characters are never needed.  :func:`factors` lists them as records
+(m, l, -chi), sorted graded-lex on m, then on l, and
+:func:`eqpoincare.powerseries.expand` applies them one at a time to a
+table of plain ints keyed by exponent and character: dividing by
+(1 - u^l t^m) is one ascending pass ``out[v + m] += u^l out[v]`` in order
+of total degree, multiplying by it one descending pass, and u^l permutes
+the characters.  No two series are ever multiplied.
 
 The dimension route starts from tables d^a(v) counting, for each
 character a, the function classes sitting at filtration position
@@ -34,7 +39,9 @@ import math
 from dataclasses import dataclass
 
 from .charring import CharacterRing
-from .powerseries import Series, SubstitutionPlan, factor_power, graded_lex_key, substitute_and_rescale
+from .powerseries import Series, SubstitutionPlan, expand, graded_lex_key, substitute_and_rescale
+# the benchmark's tracer wraps engine.factor_power by name
+from .powerseries import factor_power  # noqa: F401
 from .strata import Branch, StratumModel, resolve_character, stratum_multiplicities
 
 
@@ -46,10 +53,10 @@ class EngineError(ValueError):
     pass
 
 
-def factors(model: StratumModel, strata, targets) -> list:
-    """Records (m, l, power) of the factors (1 - u^l t^m) ** power, one per
-    stratum with chi != 0, sorted graded-lex on m, then on l."""
-    records = []
+def factor_rows(model: StratumModel, strata, targets) -> list:
+    """Pairs (stratum, (m, l, power)) of the factors (1 - u^l t^m) ** power,
+    one per stratum with chi != 0, sorted graded-lex on m, then on l."""
+    rows = []
     for st in strata:
         if st.chi == 0:
             continue
@@ -60,18 +67,13 @@ def factors(model: StratumModel, strata, targets) -> list:
                 f"{where}: zero weight vector with chi = {st.chi}; the factor "
                 "would not be a power series"
             )
-        records.append((m, resolve_character(model, st), -st.chi))
-    return sorted(records, key=lambda f: (graded_lex_key(f[0]), f[1]))
+        rows.append((st, (m, resolve_character(model, st), -st.chi)))
+    return sorted(rows, key=lambda row: (graded_lex_key(row[1][0]), row[1][1]))
 
 
-def _expand(records, num_vars: int, bound: int, ring: CharacterRing) -> Series:
-    """Product of the (m, l, power) factor records through total degree bound."""
-    result = Series.one(num_vars, bound, ring)
-    for m, l, power in records:
-        result = result * factor_power(
-            ring.monomial(l), m, power, num_vars=num_vars, bound=bound, ring=ring
-        )
-    return result
+def factors(model: StratumModel, strata, targets) -> list:
+    """The factor records (m, l, power) of :func:`factor_rows`."""
+    return [record for _, record in factor_rows(model, strata, targets)]
 
 
 def divisorial_poincare(model: StratumModel, bound: int) -> Series:
@@ -79,7 +81,7 @@ def divisorial_poincare(model: StratumModel, bound: int) -> Series:
     filtration at the model's chosen components, through total degree
     ``bound``."""
     records = factors(model, model.strata, model.chosen)
-    return _expand(records, len(model.chosen), bound, model.ring)
+    return expand(records, len(model.chosen), bound, model.ring)
 
 
 def plan_poincare(model: StratumModel, plan: SubstitutionPlan, degree: int):
@@ -100,7 +102,7 @@ def plan_poincare(model: StratumModel, plan: SubstitutionPlan, degree: int):
                 w[entry[0]] += mi * (lcm // entry[1])
         records.append((tuple(w), l, power))
     rescale = SubstitutionPlan(tuple((j, lcm) for j in range(k)))
-    return _expand(records, k, degree * lcm, model.ring), rescale
+    return expand(records, k, degree * lcm, model.ring), rescale
 
 
 def curve_poincare(model: StratumModel, branches, adjusted_strata, bound: int) -> Series:
@@ -120,7 +122,7 @@ def curve_poincare(model: StratumModel, branches, adjusted_strata, bound: int) -
         if b.attach not in known:
             raise EngineError(f"branch attaches to unknown component {b.attach!r}")
     records = factors(model, adjusted_strata, [b.attach for b in branches])
-    return _expand(records, len(branches), bound, model.ring)
+    return expand(records, len(branches), bound, model.ring)
 
 
 @dataclass(frozen=True)

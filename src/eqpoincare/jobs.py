@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 
 from .charring import CharacterRing
 from .oracle import MonomialModel
-from .powerseries import Series, SubstitutionPlan, factor_power
+from .powerseries import Series, SubstitutionPlan, expand
+# the benchmark's tracer wraps jobs.factor_power by name
+from .powerseries import factor_power  # noqa: F401
 from .resolution import ResolutionGraph
 from .strata import (
     Branch,
@@ -116,17 +118,8 @@ class Job:
         else:
             num_vars = len(self.model.chosen)
             ring = self.model.ring
-        result = Series.one(num_vars, degree, ring)
-        for f in factors:
-            if ring is None:
-                coeff = f.coefficient
-            else:
-                coeff = ring.monomial(f.character or (0,) * ring.num_generators,
-                                      f.coefficient)
-            result = result * factor_power(
-                coeff, f.exponent, f.power, num_vars=num_vars, bound=degree, ring=ring
-            )
-        return result
+        records = [(f.exponent, f.character, f.power, f.coefficient) for f in factors]
+        return expand(records, num_vars, degree, ring)
 
 
 def _parse_strata(items, ring):
@@ -201,6 +194,13 @@ def _parse_expected_factors(items, where, ring_q):
         here = f"{where}[{i}]"
         exponent = _int_list(_require(raw, "exponent", here), here)
         power = _require(raw, "power", here, int)
+        if any(x < 0 for x in exponent):
+            raise JobError(f"{here}: exponent {exponent} has a negative entry")
+        if power != 0 and not any(exponent):
+            raise JobError(
+                f"{here}: exponent {exponent} is zero with power {power}; the "
+                "factor would not be a power series"
+            )
         character = None
         if "character" in raw:
             character = _int_list(raw["character"], here)

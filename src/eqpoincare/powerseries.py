@@ -14,8 +14,10 @@ never claims coefficients that the inputs cannot justify.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
+from operator import add
 
 from .charring import CharacterRing, CharElement
 
@@ -248,6 +250,103 @@ def factor_power(coefficient, exponent, power: int, *, num_vars: int,
             binom = math.comb(k - power - 1, k)
         terms[tuple(k * x for x in m)] = ck * binom
         ck = ck * c
+    return Series(num_vars, bound, ring, terms)
+
+
+class _CharShift(dict):
+    """Multiplication by u^l as a map on characters, filled in as they
+    occur, so a large ring costs only the characters a series meets."""
+
+    def __init__(self, ring, l):
+        super().__init__()
+        self.ring, self.l = ring, l
+
+    def __missing__(self, ch):
+        if self.ring is None or self.l is None:
+            to = ch
+        else:
+            to = self.ring.reduce(tuple(map(add, ch, self.l)))
+        self[ch] = to
+        return to
+
+
+def _push(out, buckets, d, m, step, shift, c) -> bool:
+    """Add c * u^l * t^m times the terms of total degree d into degree
+    d + step, u^l being ``shift``.  Returns whether that degree got its
+    first term."""
+    new = []
+    for v in buckets[d]:
+        w = tuple(map(add, v, m))
+        dst = out.get(w)
+        if dst is None:
+            dst = out[w] = {}
+            new.append(w)
+        for ch, x in out[v].items():
+            if x:
+                to = shift[ch]
+                dst[to] = dst.get(to, 0) + c * x
+    if not new:
+        return False
+    if d + step in buckets:
+        buckets[d + step].extend(new)
+        return False
+    buckets[d + step] = new
+    return True
+
+
+def expand(records, num_vars: int, bound: int,
+           ring: CharacterRing | None = None) -> Series:
+    """Product of the factors (1 - c * u^l * t^m) ** power, truncated.
+
+    ``records`` holds ``(m, l, power)`` or ``(m, l, power, c)`` items, c an
+    integer (default 1) and l a character exponent tuple (ignored, and
+    may be None, for an integer series; None means the trivial character
+    otherwise).  The product is built in place: each exponent holds plain
+    ints keyed by character, and multiplying by u^l is a fixed
+    permutation of the characters.  Dividing by (1 - c u^l t^m) is one
+    ascending pass ``out[v + m] += c u^l out[v]`` over the support in
+    order of total degree, multiplying by it one descending pass
+    ``out[v + m] -= c u^l out[v]``; a factor with power p takes |p|
+    passes.  Neither divides by a coefficient, so zero divisors in the
+    ring are harmless.  The support is bucketed by the total degrees that
+    occur, so the work and memory follow the terms, not the bound.
+    """
+    origin = (0,) * num_vars
+    trivial = () if ring is None else (0,) * ring.num_generators
+    out = {origin: {trivial: 1}}
+    buckets = {0: [origin]}
+    for m, l, power, *c in records:
+        m = tuple(m)
+        c = c[0] if c else 1
+        if len(m) != num_vars:
+            raise ValueError(f"factor exponent {m} has wrong arity, expected {num_vars}")
+        if any(x < 0 for x in m):
+            raise ValueError(f"factor exponent {m} has a negative entry")
+        step = sum(m)
+        if step == 0 and power != 0:
+            raise ValueError(
+                "factor with zero exponent vector and nonzero power is not a "
+                "power series in t"
+            )
+        shift = _CharShift(ring, l)
+        for _ in range(abs(power)):
+            if power > 0:
+                for d in sorted(buckets, reverse=True):
+                    if d + step <= bound:
+                        _push(out, buckets, d, m, step, shift, -c)
+            else:
+                heap = list(buckets)
+                heapq.heapify(heap)
+                while heap:
+                    d = heapq.heappop(heap)
+                    if d + step > bound:
+                        break  # every degree still queued is larger
+                    if _push(out, buckets, d, m, step, shift, c):
+                        heapq.heappush(heap, d + step)
+    if ring is None:
+        terms = {v: vec.get((), 0) for v, vec in out.items()}
+    else:
+        terms = {v: CharElement(ring, vec) for v, vec in out.items()}
     return Series(num_vars, bound, ring, terms)
 
 

@@ -10,7 +10,7 @@ import pytest
 from eqpoincare import cli
 from eqpoincare.engine import curve_poincare, divisorial_poincare
 from eqpoincare.jobs import load_job
-from eqpoincare.powerseries import parse_machine, series_eq_upto
+from eqpoincare.powerseries import Series, parse_machine, series_eq_upto
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
 SRC = JOBS.parent / "src"
@@ -163,6 +163,66 @@ def test_check_expands_each_engine_series_once(monkeypatch, capsys):
     assert capsys.readouterr().out.count("curve engine vs") == 2
 
 
+def star_job(tmp_path):
+    """example3 with the first chosen component only: the one-index star."""
+    with open(JOBS / "example3.json") as fh:
+        doc = json.load(fh)
+    doc["chosen"] = ["E0"]
+    del doc["extract"], doc["expected"]
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_product_route_multiplies_no_series(monkeypatch, tmp_path, capsys):
+    calls = []
+    mul = Series.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Series, "__mul__", counted)
+    monkeypatch.setattr(Series, "__rmul__", counted)
+    assert run("compute", star_job(tmp_path), "--degree", 600) == 0
+    assert run("check", JOBS / "example1.json", "--degree", 16) == 0
+    assert calls == []
+    Series.one(1, 3) * Series.one(1, 3)  # the counter sees a product
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("component", [1, 2, 3])
+def test_repeated_chosen_component_is_the_same_valuation(component, tmp_path, capsys):
+    # P(t1, t2) with E chosen twice is the one-index series at t1 * t2
+    def chosen(ids):
+        def mutate(doc):
+            doc["chosen"] = ids
+            del doc["extract"], doc["expected"]
+        return mutate
+
+    degree = 12
+    one = divisorial_poincare(
+        load_job(write_variant(tmp_path, chosen([component]))).model, degree)
+    path = write_variant(tmp_path, chosen([component, component]))
+    two = divisorial_poincare(load_job(path).model, 2 * degree)
+    assert len(one.terms) > 1
+    assert two.terms == {(k, k): c for (k,), c in one.terms.items()}
+    assert run("check", path, "--degree", 2 * degree) == 0
+    out = capsys.readouterr().out
+    assert "check divisorial engine vs monomial count: agree" in out
+
+
+def test_explain_lists_the_factors(capsys):
+    assert run("explain", JOBS / "example1.json") == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "divisorial factors (1 - u^l t^m)^(-chi), t indexed by [1, 2, 3]:",
+        "  label='y-axis point' carrier=[3] chi=1 m=(1, 1, 2) l=(2,)",
+        "  label='x-axis point' carrier=[1] chi=1 m=(2, 1, 1) l=(1,)",
+        "curve factors (1 - u^l t^m)^(-chi), t indexed by [3]:",
+        "  label='x-axis point' carrier=[1] chi=1 m=(1,) l=(1,)",
+    ]
+
+
 def test_check_requires_some_comparison(tmp_path, capsys):
     def strip(doc):
         del doc["expected"]
@@ -294,9 +354,14 @@ def test_validate_rejects_wrong_first_blown_up(tmp_path, capsys):
      "oracle: needs sigma_x and sigma_y, or curve_axes"),
     (lambda d: (d["curve"].update(branches=[]), d["oracle"].update(curve_axes=[])),
      "oracle.curve_axes: lists no axes"),
+    (lambda d: d["expected"]["divisorial"][1].update(exponent=[1, -1, 2]),
+     "expected.divisorial[1]: exponent (1, -1, 2) has a negative entry"),
+    (lambda d: d["expected"]["extract"][0].update(exponent=[0, 0]),
+     "expected.extract[0]: exponent (0, 0) is zero with power 1"),
 ], ids=["non-object stratum", "list id", "expected not an object", "bool chi",
         "list oracle id", "unknown oracle id", "sigma without its pair",
-        "oracle with no axes", "empty curve axes"])
+        "oracle with no axes", "empty curve axes", "negative expected exponent",
+        "zero expected exponent"])
 def test_malformed_job_is_an_input_error(tmp_path, capsys, mutate, field):
     path = write_variant(tmp_path, mutate)
     assert run("validate", path) == 1

@@ -7,6 +7,7 @@ from eqpoincare.powerseries import (
     PlanError,
     Series,
     SubstitutionPlan,
+    expand,
     factor_power,
     parse_machine,
     render_machine,
@@ -209,3 +210,55 @@ def test_factor_times_inverse_is_one(data):
     plus = factor_power(c, m, e, num_vars=2, bound=bound, ring=ring)
     minus = factor_power(c, m, -e, num_vars=2, bound=bound, ring=ring)
     assert plus * minus == Series.one(2, bound, ring)
+
+
+def fold(records, num_vars, bound, ring):
+    """The product of the records through factor_power and Series.__mul__."""
+    out = Series.one(num_vars, bound, ring)
+    for m, l, power, c in records:
+        if ring is not None:
+            c = ring.monomial(l or (0,) * ring.num_generators, c)
+        out = out * factor_power(c, m, power, num_vars=num_vars, bound=bound, ring=ring)
+    return out
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_expand_equals_the_fold(data):
+    num_vars = data.draw(st.integers(1, 3))
+    ring = data.draw(st.sampled_from(
+        [None, CharacterRing(()), CharacterRing((2,)), CharacterRing((3,)),
+         CharacterRing((2, 2))]))
+    bound = data.draw(st.integers(0, 8))
+    # entries up to bound + 3, so some steps exceed the bound
+    exponent = st.tuples(*[st.integers(0, bound + 3)] * num_vars).filter(any)
+    character = (st.just(None) if ring is None
+                 else st.tuples(*[st.integers(0, m - 1) for m in ring.orders]))
+    records = data.draw(st.lists(
+        st.tuples(exponent, character, st.integers(-3, 3), st.sampled_from([1, -1])),
+        max_size=4))
+    got = expand(records, num_vars, bound, ring)
+    want = fold(records, num_vars, bound, ring)
+    assert got.bound == want.bound == bound
+    assert got.terms.keys() == want.terms.keys()
+    assert got == want
+
+
+def test_expand_defaults_to_coefficient_one_and_trivial_character():
+    ring = CharacterRing((3,))
+    assert expand([((1,), None, -1)], 1, 4, ring) == fold([((1,), None, -1, 1)], 1, 4, ring)
+    assert expand([], 2, 5, ring) == Series.one(2, 5, ring)
+
+
+@pytest.mark.parametrize("record,message", [
+    (((1, -1), None, -1), "negative entry"),
+    (((0, 0), None, 2), "zero exponent vector"),
+    (((1,), None, -1), "wrong arity"),
+])
+def test_expand_rejects_factors_that_are_not_power_series(record, message):
+    with pytest.raises(ValueError, match=message):
+        expand([record], 2, 6)
+
+
+def test_expand_allows_a_constant_factor_to_the_power_zero():
+    assert expand([((0, 0), None, 0)], 2, 6) == Series.one(2, 6)
