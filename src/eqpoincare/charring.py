@@ -92,9 +92,19 @@ class CharacterRing:
 class CharElement:
     """An element of a :class:`CharacterRing`, stored sparsely."""
 
+    __slots__ = ("ring", "terms")  # a series holds one per term
+
     def __init__(self, ring: CharacterRing, terms: dict):
         self.ring = ring
         self.terms = {e: c for e, c in terms.items() if c != 0}
+
+    @classmethod
+    def _of(cls, ring: CharacterRing, parts: dict) -> "CharElement":
+        """An element that takes ``parts`` as it is, neither copied nor
+        checked: the caller guarantees reduced keys and nonzero values."""
+        element = cls.__new__(cls)
+        element.ring, element.terms = ring, parts
+        return element
 
     def coefficient(self, exponents) -> int:
         return self.terms.get(self.ring.reduce(exponents), 0)

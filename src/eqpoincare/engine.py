@@ -241,24 +241,32 @@ def poincare_from_dimensions(tables, ring: CharacterRing | None, bound: int) -> 
     return series
 
 
+def _integer_part(series: Series, part) -> Series:
+    """The integer series of ``part(c.terms)`` over the coefficients c of an
+    equivariant series; the nonzero ints are adopted as they come."""
+    if series.ring is None:
+        raise ValueError("series is already an integer series")
+    terms = {e: x for e, c in series.terms.items() if (x := part(c.terms))}
+    return Series._adopt(series.num_vars, series.bound, None, terms)
+
+
 def restrict_to_character(series: Series, alpha) -> Series:
     """Integer series of the coefficients at one character."""
     if series.ring is None:
         raise ValueError("series is already an integer series")
     key = series.ring.reduce(alpha)
-    return series.map_coefficients(lambda c: c.coefficient(key), ring=None)
+    return _integer_part(series, lambda parts: parts.get(key, 0))
 
 
 def augmented_series(series: Series) -> Series:
     """Send every character to 1; the whole-ring (non-equivariant) series."""
-    if series.ring is None:
-        raise ValueError("series is already an integer series")
-    return series.map_coefficients(lambda c: c.augment(), ring=None)
+    return _integer_part(series, lambda parts: sum(parts.values()))
 
 
 def quotient_extract(series: Series, plan: SubstitutionPlan) -> Series:
     """Poincare series of the quotient data: take the trivial-character
     part coefficientwise, then drop and rescale variables by the plan."""
     if series.ring is not None:
-        series = series.map_coefficients(lambda c: c.trivial_part(), ring=None)
+        trivial = (0,) * series.ring.num_generators
+        series = _integer_part(series, lambda parts: parts.get(trivial, 0))
     return substitute_and_rescale(series, plan)

@@ -4,7 +4,16 @@ A :class:`Series` stores the coefficients of a power series in variables
 t_1, ..., t_s up to a fixed total degree bound.  Coefficients are either
 plain integers (``ring is None``) or elements of a
 :class:`~eqpoincare.charring.CharacterRing`.  Storage is a sparse dict
-from exponent tuples to coefficients; zero coefficients are dropped.
+``terms`` from exponent tuples to coefficients, and every series keeps
+one invariant: each key has ``num_vars`` nonnegative entries summing to
+at most ``bound``, and no coefficient is zero (an int is nonzero, a
+:class:`~eqpoincare.charring.CharElement` has nonempty, all-nonzero
+parts).  ``Series(...)`` checks this term by term, as it must for input
+from outside.  The package's own producers, :func:`expand` and
+:func:`substitute_and_rescale` here and the character projections in
+:mod:`eqpoincare.engine`, build tables that hold it by construction, so
+they drop their zeros and hand the dict over with :meth:`Series._adopt`,
+which neither copies nor checks it.
 
 Two series are considered equal when they agree on every exponent of
 total degree up to the smaller of the two bounds.  Binary operations
@@ -44,13 +53,17 @@ def graded_lex_key(exponents: Exponents):
     return (sum(exponents), exponents)
 
 
+def _check_size(num_vars: int, bound: int):
+    if num_vars < 0:
+        raise ValueError("num_vars must be >= 0")
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
+
+
 class Series:
     def __init__(self, num_vars: int, bound: int, ring: CharacterRing | None = None,
                  terms: dict | None = None):
-        if num_vars < 0:
-            raise ValueError("num_vars must be >= 0")
-        if bound < 0:
-            raise ValueError("bound must be >= 0")
+        _check_size(num_vars, bound)
         self.num_vars = num_vars
         self.bound = bound
         self.ring = ring
@@ -66,6 +79,19 @@ class Series:
             c = self._accept_coeff(c)
             if not _is_zero_coeff(c):
                 self.terms[exps] = c
+
+    @classmethod
+    def _adopt(cls, num_vars: int, bound: int, ring: CharacterRing | None,
+               terms: dict) -> "Series":
+        """A series that takes ``terms`` as it is, neither copied nor
+        checked.  The caller guarantees the invariant of the module
+        docstring (right arity, exponents >= 0 with sum <= ``bound``, no
+        zero coefficient, a ``CharElement`` of ``ring`` with nonempty,
+        all-nonzero parts when ``ring`` is set) and changes no term after."""
+        series = cls.__new__(cls)
+        series.num_vars, series.bound, series.ring = num_vars, bound, ring
+        series.terms = terms
+        return series
 
     def _accept_coeff(self, c):
         if self.ring is None:
@@ -106,13 +132,6 @@ class Series:
             )
         kept = {e: c for e, c in self.terms.items() if sum(e) <= bound}
         return Series(self.num_vars, bound, self.ring, kept)
-
-    def map_coefficients(self, fn, ring=None) -> "Series":
-        """Apply fn to every coefficient, producing a series over ``ring``."""
-        out: dict[Exponents, object] = {}
-        for e, c in self.terms.items():
-            out[e] = fn(c)
-        return Series(self.num_vars, self.bound, ring, out)
 
     def _check_compatible(self, other: "Series"):
         if self.num_vars != other.num_vars:
@@ -310,7 +329,12 @@ def expand(records, num_vars: int, bound: int,
     passes.  Neither divides by a coefficient, so zero divisors in the
     ring are harmless.  The support is bucketed by the total degrees that
     occur, so the work and memory follow the terms, not the bound.
+
+    Every record's arity and sign are checked here and no pass writes
+    beyond ``bound``, so with its zeros dropped the table meets the
+    ``terms`` invariant and is adopted, each character table uncopied.
     """
+    _check_size(num_vars, bound)
     origin = (0,) * num_vars
     trivial = () if ring is None else (0,) * ring.num_generators
     out = {origin: {trivial: 1}}
@@ -344,10 +368,15 @@ def expand(records, num_vars: int, bound: int,
                     if _push(out, buckets, d, m, step, shift, c):
                         heapq.heappush(heap, d + step)
     if ring is None:
-        terms = {v: vec.get((), 0) for v, vec in out.items()}
+        terms = {v: x for v, vec in out.items() if (x := vec.get((), 0))}
     else:
-        terms = {v: CharElement(ring, vec) for v, vec in out.items()}
-    return Series(num_vars, bound, ring, terms)
+        terms = {}
+        for v, vec in out.items():
+            if 0 in vec.values():
+                vec = {ch: x for ch, x in vec.items() if x}
+            if vec:
+                terms[v] = CharElement._of(ring, vec)
+    return Series._adopt(num_vars, bound, ring, terms)
 
 
 @dataclass(frozen=True)
@@ -375,7 +404,7 @@ class SubstitutionPlan:
             if not isinstance(den, int) or den < 1:
                 raise PlanError(f"entry {i}: denominator must be an integer >= 1")
             targets.append(out)
-        if targets and sorted(set(targets)) != list(range(max(targets) + 1)):
+        if targets and len(set(targets)) != max(targets) + 1:
             raise PlanError(
                 "output indices must cover 0..k-1 with every output targeted"
             )
@@ -432,7 +461,8 @@ def substitute_and_rescale(series: Series, plan: SubstitutionPlan) -> Series:
             continue
         key = tuple(key)
         out[key] = out.get(key, zero) + c
-    return Series(t, out_bound, series.ring, out)
+    terms = {k: c for k, c in out.items() if not _is_zero_coeff(c)}
+    return Series._adopt(t, out_bound, series.ring, terms)
 
 
 def render_text(series: Series) -> str:
@@ -442,14 +472,17 @@ def render_text(series: Series) -> str:
     line ``c * u^(e) * t^(v)`` per character-basis component.
     """
     lines = []
+    uparts: dict = {}
     for exps, c in series.items():
-        tpart = "t^(" + ",".join(str(x) for x in exps) + ")"
+        tpart = "t^(" + ",".join(map(str, exps)) + ")"
         if series.ring is None:
             lines.append(f"{c} * {tpart}")
         else:
-            for ce in sorted(c.terms):
-                upart = "u^(" + ",".join(str(x) for x in ce) + ")"
-                lines.append(f"{c.terms[ce]} * {upart} * {tpart}")
+            for ce, x in sorted(c.terms.items()):
+                upart = uparts.get(ce)
+                if upart is None:
+                    upart = uparts[ce] = "u^(" + ",".join(map(str, ce)) + ")"
+                lines.append(f"{x} * {upart} * {tpart}")
     return "\n".join(lines) if lines else "0"
 
 
@@ -457,14 +490,9 @@ def render_machine(series: Series) -> dict:
     """JSON-ready dict that :func:`parse_machine` inverts exactly."""
     terms = []
     for exps, c in series.items():
-        if series.ring is None:
-            coeff = c
-        else:
-            coeff = [
-                {"exponents": list(e), "coeff": c.terms[e]}
-                for e in sorted(c.terms)
-            ]
-        terms.append({"exponent": list(exps), "coefficient": coeff})
+        if series.ring is not None:
+            c = [{"exponents": list(e), "coeff": x} for e, x in sorted(c.terms.items())]
+        terms.append({"exponent": list(exps), "coefficient": c})
     return {
         "num_vars": series.num_vars,
         "bound": series.bound,

@@ -191,6 +191,40 @@ def test_product_route_multiplies_no_series(monkeypatch, tmp_path, capsys):
     assert len(calls) == 1
 
 
+def test_engine_series_are_adopted_without_a_per_term_check(monkeypatch, tmp_path, capsys):
+    # expand and the character projections hand their tables to the
+    # series as built; Series.__init__ would check every coefficient again
+    calls = []
+    accept = Series._accept_coeff
+
+    def counted(self, c):
+        calls.append(c)
+        return accept(self, c)
+
+    monkeypatch.setattr(Series, "_accept_coeff", counted)
+    example1 = JOBS / "example1.json"
+    for args in [
+        ("compute", example1, "--degree", 128),
+        ("compute", example1, "--degree", 128, "--format", "machine"),
+        ("compute", example1, "--degree", 128, "--character", 1),
+        ("compute", example1, "--mode", "curve", "--degree", 1000),
+        ("compute", star_job(tmp_path), "--degree", 600),
+    ]:
+        assert run(*args) == 0
+    assert calls == []
+    Series(1, 3, None, {(0,): 1})  # the counter sees a checked coefficient
+    assert calls == [1]
+
+
+JOB_NAMES = sorted(p.stem for p in JOBS.glob("*.json"))
+
+
+@pytest.mark.parametrize("name", JOB_NAMES)
+def test_check_passes_at_every_degree_through_40(name, capsys):
+    failed = [d for d in range(41) if run("check", JOBS / f"{name}.json", "--degree", d)]
+    assert failed == []
+
+
 @pytest.mark.parametrize("component", [1, 2, 3])
 def test_repeated_chosen_component_is_the_same_valuation(component, tmp_path, capsys):
     # P(t1, t2) with E chosen twice is the one-index series at t1 * t2
@@ -358,10 +392,12 @@ def test_validate_rejects_wrong_first_blown_up(tmp_path, capsys):
      "expected.divisorial[1]: exponent (1, -1, 2) has a negative entry"),
     (lambda d: d["expected"]["extract"][0].update(exponent=[0, 0]),
      "expected.extract[0]: exponent (0, 0) is zero with power 1"),
+    (lambda d: d["extract"]["plan"][0].update(output=10 ** 12), "extract.plan"),
+    (lambda d: d["extract"]["plan"][0].update(output=10 ** 8), "extract.plan"),
 ], ids=["non-object stratum", "list id", "expected not an object", "bool chi",
         "list oracle id", "unknown oracle id", "sigma without its pair",
         "oracle with no axes", "empty curve axes", "negative expected exponent",
-        "zero expected exponent"])
+        "zero expected exponent", "plan output 10^12", "plan output 10^8"])
 def test_malformed_job_is_an_input_error(tmp_path, capsys, mutate, field):
     path = write_variant(tmp_path, mutate)
     assert run("validate", path) == 1

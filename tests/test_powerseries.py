@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqpoincare.charring import CharacterRing
+from eqpoincare.charring import CharacterRing, CharElement
+from eqpoincare.engine import augmented_series, quotient_extract, restrict_to_character
 from eqpoincare.powerseries import (
     DivisibilityError,
     PlanError,
@@ -222,26 +223,77 @@ def fold(records, num_vars, bound, ring):
     return out
 
 
-@settings(max_examples=150)
-@given(st.data())
-def test_expand_equals_the_fold(data):
-    num_vars = data.draw(st.integers(1, 3))
-    ring = data.draw(st.sampled_from(
+@st.composite
+def expansions(draw):
+    """Arguments (records, num_vars, bound, ring) of :func:`expand`."""
+    num_vars = draw(st.integers(1, 3))
+    ring = draw(st.sampled_from(
         [None, CharacterRing(()), CharacterRing((2,)), CharacterRing((3,)),
          CharacterRing((2, 2))]))
-    bound = data.draw(st.integers(0, 8))
+    bound = draw(st.integers(0, 8))
     # entries up to bound + 3, so some steps exceed the bound
     exponent = st.tuples(*[st.integers(0, bound + 3)] * num_vars).filter(any)
     character = (st.just(None) if ring is None
                  else st.tuples(*[st.integers(0, m - 1) for m in ring.orders]))
-    records = data.draw(st.lists(
+    records = draw(st.lists(
         st.tuples(exponent, character, st.integers(-3, 3), st.sampled_from([1, -1])),
         max_size=4))
+    return records, num_vars, bound, ring
+
+
+@settings(max_examples=150)
+@given(expansions())
+def test_expand_equals_the_fold(args):
+    records, num_vars, bound, ring = args
     got = expand(records, num_vars, bound, ring)
     want = fold(records, num_vars, bound, ring)
     assert got.bound == want.bound == bound
     assert got.terms.keys() == want.terms.keys()
     assert got == want
+
+
+def checked(series, ring, coeff):
+    """``coeff`` of every coefficient of ``series``, through the
+    validating constructor."""
+    return Series(series.num_vars, series.bound, ring,
+                  {e: coeff(c) for e, c in series.terms.items()})
+
+
+@settings(max_examples=150)
+@given(expansions())
+def test_adopted_series_pass_the_checks_they_skip(args):
+    records, num_vars, bound, ring = args
+    # a factor and its inverse cancel, leaving zeros in the kernel's table
+    records = records + [(m, l, -power, c) for m, l, power, c in records[:1]]
+    s = expand(records, num_vars, bound, ring)
+    assert s.terms == Series(s.num_vars, s.bound, s.ring, dict(s.terms)).terms
+    for c in s.terms.values():
+        if s.ring is None:
+            assert isinstance(c, int) and c != 0
+        else:
+            assert isinstance(c, CharElement) and c.ring == s.ring
+            assert c.terms and all(c.terms.values())
+    # merging every variable into one adds coefficients, which may cancel
+    merged = quotient_extract(s, SubstitutionPlan(((0, 1),) * s.num_vars))
+    assert merged.terms == Series(1, s.bound, None, dict(merged.terms)).terms
+    assert all(merged.terms.values())
+    if s.ring is None:
+        return
+    for alpha in s.ring.characters():
+        got = restrict_to_character(s, alpha)
+        assert got.terms == checked(s, None, lambda c: c.coefficient(alpha)).terms
+    assert augmented_series(s).terms == checked(s, None, CharElement.augment).terms
+    identity = SubstitutionPlan(tuple((i, 1) for i in range(s.num_vars)))
+    trivial = checked(s, None, CharElement.trivial_part)
+    assert quotient_extract(s, identity).terms == trivial.terms
+
+
+@pytest.mark.parametrize("ring", [None, CharacterRing((2,))])
+def test_substitute_drops_sums_that_cancel(ring):
+    c = 1 if ring is None else ring.monomial((1,))
+    s = Series(2, 4, ring, {(1, 0): c, (0, 1): -c, (1, 1): 2})
+    merged = substitute_and_rescale(s, SubstitutionPlan(((0, 1), (0, 1))))
+    assert list(merged.terms) == [(2,)]
 
 
 def test_expand_defaults_to_coefficient_one_and_trivial_character():
