@@ -42,7 +42,13 @@ from .strata import (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: ``parse_args`` keeps
+    no state between calls and prints help and usage to the ``sys.stdout``
+    of the moment.  Only in-process callers of :func:`main` (library users,
+    the tests, the benchmark) gain; a one-shot ``eqpoincare`` process builds
+    the parser once either way."""
     parser = argparse.ArgumentParser(
         prog="eqpoincare",
         description=(

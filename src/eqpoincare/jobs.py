@@ -248,6 +248,7 @@ def parse_job(data: dict, name: str = "job") -> Job:
         graph = ResolutionGraph(tuple(comps), tuple(edges), e0)
     except ValueError as e:
         raise JobError(f"graph: {e}") from e
+    known = set(graph.ids)
 
     chosen = _id_list(_require(data, "chosen", "job"), "chosen")
     strata = _parse_strata(_require(data, "strata", "job", list), ring)
@@ -278,7 +279,7 @@ def parse_job(data: dict, name: str = "job") -> Job:
         for i, b in enumerate(_require(raw, "branches", "curve", list)):
             attach = _component_id(_require(b, "attach", f"curve.branches[{i}]"),
                                    f"curve.branches[{i}].attach")
-            if attach not in set(graph.ids):
+            if attach not in known:
                 raise JobError(
                     f"curve.branches[{i}]: attach component {attach!r} unknown"
                 )
@@ -323,7 +324,7 @@ def parse_job(data: dict, name: str = "job") -> Job:
                 f"oracle.{missing}: missing; sigma_x and sigma_y come as a pair"
             )
         for key, sigma in (("sigma_x", sigma_x), ("sigma_y", sigma_y)):
-            if sigma is not None and sigma not in set(graph.ids):
+            if sigma is not None and sigma not in known:
                 raise JobError(f"oracle.{key}: component {sigma!r} unknown")
         if sigma_x is None and axes is None:
             raise JobError("oracle: needs sigma_x and sigma_y, or curve_axes")

@@ -15,13 +15,14 @@ chi(X) = chi(X^T); Campillo, Delgado and Gusein-Zade, Duke Math. J. 117,
 stratum product formula, which is the point: the two routes are
 independent.
 
-The walk over (a, b) is exhaustive through total degree D with these
-bounds.  Divisorial mode: every multiplicity entry is >= 1, so
-|w(a, b)| >= a + b and only a + b <= D is needed.  Curve mode: a branch
-"x=0" has valuation b at a = 0 and infinity elsewhere, a branch "y=0"
-has a at b = 0, so only monomials on an axis can have all valuations
-finite; a = 0 is forced when some branch is "x=0", b = 0 when some
-branch is "y=0", and the walk is O(D).
+The walk visits each monomial it counts once and no other.  Divisorial
+mode: w(a, b) = a*r_x + b*r_y with r_x = w(1, 0) and r_y = w(0, 1),
+every entry >= 1; writing |v| for the sum of the entries, the walk runs
+a through D // |r_x| and then b through (D - a*|r_x|) // |r_y|, stepping
+w by r_y.  Curve mode: a branch "x=0" has valuation b at a = 0 and
+infinity elsewhere, a branch "y=0" has a at b = 0, so only monomials on
+an axis can have all valuations finite; a = 0 is forced when some
+branch is "x=0", b = 0 when some branch is "y=0", and the walk is O(D).
 
 The dimension route is kept as the reference the sum is tested
 against: :func:`oracle_tables` builds, per character, the table
@@ -42,8 +43,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import warnings
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .charring import cyclic_character_ring
@@ -211,16 +213,26 @@ def oracle_poincare(mm: MonomialModel, model: StratumModel, degree: int,
     """Equivariant series through ``degree`` as the sum of
     u^chi(a,b) t^w(a,b) over the monomials with all valuations finite."""
     valuation, s, ring = _valuation(mm, model, mode)
-    axes = mm.curve_axes if mode == "curve" else ()
-    a_top = 0 if "x=0" in axes else degree
-    b_top = 0 if "y=0" in axes else degree
-    counts: dict = {}
-    for a in range(a_top + 1):
-        for b in range(min(b_top, degree - a) + 1):
-            w = valuation(a, b)
-            if INF not in w and sum(w) <= degree:
-                counts.setdefault(w, Counter())[monomial_character(mm, a, b)] += 1
-    return Series(s, degree, ring, {w: ring.element(per) for w, per in counts.items()})
+    counts = defaultdict(int)  # (w, character) -> number of monomials
+    if mode == "curve":
+        a_top = 0 if "x=0" in mm.curve_axes else degree
+        b_top = 0 if "y=0" in mm.curve_axes else degree
+        for a in range(a_top + 1):
+            for b in range(min(b_top, degree - a) + 1):
+                w = valuation(a, b)
+                if INF not in w and sum(w) <= degree:
+                    counts[w, monomial_character(mm, a, b)] += 1
+    else:
+        row_x, row_y = valuation(1, 0), valuation(0, 1)
+        for a in range(degree // sum(row_x) + 1):
+            w = valuation(a, 0)
+            for b in range((degree - a * sum(row_x)) // sum(row_y) + 1):
+                counts[w, monomial_character(mm, a, b)] += 1
+                w = tuple(map(operator.add, w, row_y))
+    per_weight: dict = {}
+    for (w, alpha), n in counts.items():
+        per_weight.setdefault(w, {})[alpha] = n
+    return Series(s, degree, ring, {w: ring.element(per) for w, per in per_weight.items()})
 
 
 def oracle_whole_series(mm: MonomialModel, model: StratumModel, degree: int,

@@ -212,9 +212,10 @@ def validate_strata(model: StratumModel, orbits) -> StrataReport:
     orbits = list(orbits)
     findings: list[str] = []
     orbit_of = {}
+    known = set(model.graph.ids)
     for i, orbit in enumerate(orbits):
         for c in orbit.components:
-            if c not in set(model.graph.ids):
+            if c not in known:
                 findings.append(f"orbit {i}: unknown component {c!r}")
             elif c in orbit_of:
                 findings.append(f"component {c!r} appears in two orbits")

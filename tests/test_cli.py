@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import copy
+import io
 import json
 import os
 import subprocess
@@ -402,3 +405,63 @@ def test_malformed_job_is_an_input_error(tmp_path, capsys, mutate, field):
     path = write_variant(tmp_path, mutate)
     assert run("validate", path) == 1
     assert field in capsys.readouterr().err
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    cli.build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    path = JOBS / "example1.json"
+    per_call = []
+    for argv in (("validate", path), ("compute", path, "--degree", 4),
+                 ("check", path, "--degree", 4), ("validate", path)):
+        before = len(built)
+        assert run(*argv) == 0
+        per_call.append(len(built) - before)
+    # the main parser and its five subcommand parsers, on the first call only
+    assert per_call == [6, 0, 0, 0]
+
+
+def compute_alone(*argv):
+    """stdout of one call through a parser that has served no other."""
+    cli.build_parser.cache_clear()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(*argv) == 0
+    return out.getvalue()
+
+
+def test_consecutive_calls_share_no_options(capsys):
+    path = JOBS / "example1.json"
+    plain = ("compute", path, "--degree", 3)
+    alone = compute_alone(*plain)
+    assert run(*plain, "--format", "machine", "--character", "1") == 0
+    restricted = parse_machine(json.loads(capsys.readouterr().out))
+    assert run(*plain) == 0
+    assert capsys.readouterr().out == alone
+    assert not alone.lstrip().startswith("{")  # text, not the machine format
+    full = divisorial_poincare(load_job(path).model, 3)
+    assert restricted.terms.keys() < full.terms.keys()
+
+
+def test_usage_error_and_help_leave_the_next_call_alone(capsys):
+    path = JOBS / "example1.json"
+    plain = ("compute", path, "--degree", 3)
+    alone = compute_alone(*plain)
+    assert run("compute", path, "--degree", 3, "--format", "yaml") == 1
+    assert "invalid choice" in capsys.readouterr().err
+    assert run(*plain) == 0
+    assert capsys.readouterr().out == alone
+    # help goes to the stdout of the moment, not the one the parser met
+    helped = io.StringIO()
+    with contextlib.redirect_stdout(helped):
+        assert run("compute", "--help") == 0
+    assert "--character" in helped.getvalue()
+    assert run(*plain) == 0
+    assert capsys.readouterr().out == alone

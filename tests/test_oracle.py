@@ -1,7 +1,14 @@
 import math
+import random
+import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from eqpoincare import engine, powerseries
+from eqpoincare.charring import cyclic_character_ring
 
 from eqpoincare.charring import CharacterRing
 from eqpoincare.engine import (
@@ -17,11 +24,13 @@ from eqpoincare.oracle import (
     MonomialModel,
     OracleError,
     _shell,
+    _valuation,
     monomial_character,
     oracle_poincare,
     oracle_tables,
     oracle_whole_series,
 )
+from eqpoincare.powerseries import Series
 from eqpoincare.resolution import ResolutionGraph
 from eqpoincare.strata import (
     Branch,
@@ -31,6 +40,7 @@ from eqpoincare.strata import (
     curve_strata,
 )
 
+from blowup import random_blowup_graph
 from test_strata import three_chain_model
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
@@ -191,3 +201,91 @@ def test_unfaithful_weights_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         MonomialModel(order=1, weights=(0, 0))
+
+
+def full_triangle_sum(mm, model, degree, mode="divisorial"):
+    """The monomial sum over every a + b <= degree, kept where all
+    valuations are finite and their total is <= degree: the walk the
+    bounded one replaced, as its reference."""
+    valuation, s, ring = _valuation(mm, model, mode)
+    counts = {}
+    for a in range(degree + 1):
+        for b in range(degree - a + 1):
+            w = valuation(a, b)
+            if INF not in w and sum(w) <= degree:
+                counts.setdefault(w, Counter())[monomial_character(mm, a, b)] += 1
+    return Series(s, degree, ring, {w: ring.element(per) for w, per in counts.items()})
+
+
+@st.composite
+def oracle_cases(draw):
+    graph = random_blowup_graph(random.Random(draw(st.integers(0, 2**32))),
+                                draw(st.integers(0, 6)))
+    component = st.sampled_from(graph.ids)
+    chosen = draw(st.lists(component, min_size=1, max_size=3))
+    order = draw(st.integers(1, 6))
+    weights = (draw(st.integers(-20, 20)), draw(st.integers(-20, 20)))
+    model = StratumModel(graph, cyclic_character_ring(order), chosen, ())
+    if draw(st.booleans()):
+        axes = tuple(draw(st.lists(st.sampled_from(("x=0", "y=0")),
+                                   min_size=1, max_size=3)))
+        fields, mode = {"curve_axes": axes}, "curve"
+    else:
+        fields = {"sigma_x": draw(component), "sigma_y": draw(component)}
+        mode = "divisorial"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # unfaithful weights
+        mm = MonomialModel(order, weights, **fields)
+    return mm, model, draw(st.integers(0, 40)), mode
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_cases())
+def test_bounded_walk_equals_the_full_triangle(case):
+    mm, model, degree, mode = case
+    assert oracle_poincare(mm, model, degree, mode=mode) == full_triangle_sum(
+        mm, model, degree, mode
+    )
+
+
+def test_bounded_walk_on_single_blowup_at_100():
+    job = load_job(JOBS / "single_blowup.json")
+    got = oracle_poincare(job.oracle, job.model, 100)
+    assert got == full_triangle_sum(job.oracle, job.model, 100)
+    assert len(got.terms) == 101
+
+
+ORACLE_ROUTES = [
+    ("example1", "divisorial"),
+    ("example1", "curve"),
+    ("example2_oracle", "divisorial"),
+    ("node_curve", "curve"),
+    ("single_blowup", "divisorial"),
+]
+
+
+def test_oracle_never_expands_the_product_formula(monkeypatch):
+    jobs = {name: load_job(JOBS / f"{name}.json") for name, _ in ORACLE_ROUTES}
+    engine_series = {}
+    for name, mode in ORACLE_ROUTES:
+        job = jobs[name]
+        if mode == "curve":
+            adjusted, _ = curve_strata(job.model, job.curve.removed_points)
+            engine_series[name, mode] = curve_poincare(
+                job.model, job.curve.branches, adjusted, 20)
+        else:
+            engine_series[name, mode] = divisorial_poincare(job.model, 20)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle reached the product formula")
+
+    monkeypatch.setattr(powerseries, "expand", refuse)
+    monkeypatch.setattr(engine, "expand", refuse)
+    monkeypatch.setattr(engine, "factors", refuse)
+    # control: the patch is live, the product route now fails
+    with pytest.raises(AssertionError, match="product formula"):
+        divisorial_poincare(jobs["single_blowup"].model, 20)
+    for name, mode in ORACLE_ROUTES:
+        job = jobs[name]
+        got = oracle_poincare(job.oracle, job.model, 20, mode=mode)
+        assert got == engine_series[name, mode], (name, mode)
