@@ -23,6 +23,7 @@ from .oracle import MonomialModel, oracle_poincare, oracle_whole_series
 from .powerseries import (
     Series,
     SubstitutionPlan,
+    dump_machine,
     expand,
     factor_power,
     parse_machine,
@@ -64,6 +65,7 @@ __all__ = [
     "curve_strata",
     "cyclic_character_ring",
     "divisorial_poincare",
+    "dump_machine",
     "expand",
     "factor_power",
     "load_job",

@@ -19,11 +19,19 @@ Two series are considered equal when they agree on every exponent of
 total degree up to the smaller of the two bounds.  Binary operations
 likewise produce a series truncated at the smaller bound, so a product
 never claims coefficients that the inputs cannot justify.
+
+A series is written out by :func:`render_text` and by
+:func:`dump_machine`, the one writer of the machine format (the JSON
+text that ``json.dumps(..., sort_keys=True)`` would give);
+:func:`render_machine` is its parsed dict and :func:`parse_machine`
+reads either back.  Both writers go straight from the table, one ``%``
+template per term.
 """
 
 from __future__ import annotations
 
 import heapq
+import json
 import math
 from dataclasses import dataclass
 from operator import add
@@ -257,19 +265,21 @@ def factor_power(coefficient, exponent, power: int, *, num_vars: int,
         )
     probe = Series.zero(num_vars, bound, ring)
     c = probe._accept_coeff(coefficient)
-    kmax = bound // step
     terms: dict[Exponents, object] = {}
     ck = 1 if ring is None else ring.one()
-    for k in range(kmax + 1):
-        if power >= 0:
-            if k > power:
-                break
-            binom = math.comb(power, k) * (-1) ** k
-        else:
-            binom = math.comb(k - power - 1, k)
+    for k, binom in enumerate(_binomials(power, bound // step)):
         terms[tuple(k * x for x in m)] = ck * binom
         ck = ck * c
     return Series(num_vars, bound, ring, terms)
+
+
+def _binomials(power: int, kmax: int) -> list[int]:
+    """The coefficients b_k of (1 - x) ** power for k <= kmax (and, for
+    a nonnegative power, k <= power): (-1)^k C(p, k) for power p and
+    C(k + p - 1, k) for power -p."""
+    if power >= 0:
+        return [(-1) ** k * math.comb(power, k) for k in range(min(kmax, power) + 1)]
+    return [math.comb(k - power - 1, k) for k in range(kmax + 1)]
 
 
 class _CharShift(dict):
@@ -313,6 +323,34 @@ def _push(out, buckets, d, m, step, shift, c) -> bool:
     return True
 
 
+def _push_binomial(out, buckets, m, step, shift, c, power, bound):
+    """Multiply the table by (1 - c u^l t^m) ** power in one descending
+    pass, ``out[v + k m] += b_k c^k u^(k l) out[v]`` for
+    ``1 <= k <= (bound - deg v) // step``, u^l being ``shift`` and b_k
+    from :func:`_binomials`; |power| must exceed ``bound // step``.
+    Going down the degrees, every ``out[v]`` is read before anything is
+    added to it."""
+    coeffs = [b * c ** k for k, b in enumerate(_binomials(power, bound // step))]
+    for d in sorted(buckets, reverse=True):
+        if d + step > bound:
+            continue
+        for v in buckets[d]:
+            part = {ch: x for ch, x in out[v].items() if x}
+            if not part:
+                continue
+            w = v
+            for k in range(1, (bound - d) // step + 1):
+                w = tuple(map(add, w, m))
+                part = {shift[ch]: x for ch, x in part.items()}
+                dst = out.get(w)
+                if dst is None:
+                    dst = out[w] = {}
+                    buckets.setdefault(d + k * step, []).append(w)
+                b = coeffs[k]
+                for ch, x in part.items():
+                    dst[ch] = dst.get(ch, 0) + b * x
+
+
 def expand(records, num_vars: int, bound: int,
            ring: CharacterRing | None = None) -> Series:
     """Product of the factors (1 - c * u^l * t^m) ** power, truncated.
@@ -326,9 +364,14 @@ def expand(records, num_vars: int, bound: int,
     ascending pass ``out[v + m] += c u^l out[v]`` over the support in
     order of total degree, multiplying by it one descending pass
     ``out[v + m] -= c u^l out[v]``; a factor with power p takes |p|
-    passes.  Neither divides by a coefficient, so zero divisors in the
-    ring are harmless.  The support is bucketed by the total degrees that
-    occur, so the work and memory follow the terms, not the bound.
+    passes.  When |p| exceeds ``bound // |m|``, so that those passes
+    would outnumber the degrees they can reach, the factor is instead one
+    descending pass ``out[v + k m] += b_k c^k u^(k l) out[v]`` with its
+    binomial coefficients b_k (:func:`_push_binomial`), and the work is
+    bounded by the degree, not by |p|.  Nothing divides by a coefficient,
+    so zero divisors in the ring are harmless.  The support is bucketed
+    by the total degrees that occur, so the work and memory follow the
+    terms, not the bound.
 
     Every record's arity and sign are checked here and no pass writes
     beyond ``bound``, so with its zeros dropped the table meets the
@@ -353,6 +396,9 @@ def expand(records, num_vars: int, bound: int,
                 "power series in t"
             )
         shift = _CharShift(ring, l)
+        if step and abs(power) > bound // step:
+            _push_binomial(out, buckets, m, step, shift, c, power, bound)
+            continue
         for _ in range(abs(power)):
             if power > 0:
                 for d in sorted(buckets, reverse=True):
@@ -469,36 +515,64 @@ def render_text(series: Series) -> str:
     """One term per line, graded-lex order, character parts flattened.
 
     Integer series print ``c * t^(v)``; equivariant series print one
-    line ``c * u^(e) * t^(v)`` per character-basis component.
+    line ``c * u^(e) * t^(v)`` per character-basis component.  Each line
+    is one ``%`` of a template built once per series (and per character).
     """
+    terms = series.terms
+    order = sorted(terms, key=graded_lex_key)
+    tpart = "t^(" + ",".join(["%d"] * series.num_vars) + ")"
+    if series.ring is None:
+        line = "%d * " + tpart
+        return "\n".join([line % (terms[e], *e) for e in order]) or "0"
     lines = []
-    uparts: dict = {}
-    for exps, c in series.items():
-        tpart = "t^(" + ",".join(map(str, exps)) + ")"
-        if series.ring is None:
-            lines.append(f"{c} * {tpart}")
-        else:
-            for ce, x in sorted(c.terms.items()):
-                upart = uparts.get(ce)
-                if upart is None:
-                    upart = uparts[ce] = "u^(" + ",".join(map(str, ce)) + ")"
-                lines.append(f"{x} * {upart} * {tpart}")
-    return "\n".join(lines) if lines else "0"
+    line_of: dict = {}
+    for e in order:
+        parts = terms[e].terms
+        for ce, x in sorted(parts.items()):
+            line = line_of.get(ce)
+            if line is None:
+                line = line_of[ce] = "%d * u^(" + ",".join(map(str, ce)) + ") * " + tpart
+            lines.append(line % (x, *e))
+    return "\n".join(lines) or "0"
+
+
+def dump_machine(series: Series) -> str:
+    """The machine format, the one writer of it: exactly
+    ``json.dumps(render_machine(series), sort_keys=True)``, written term
+    by term from the table without building the dicts or running the
+    JSON encoder.  A term is one ``%`` of a template built once per
+    series, a character part one ``%`` of a head built once per
+    character."""
+    terms = series.terms
+    order = sorted(terms, key=graded_lex_key)
+    exponent = '"exponent": [' + ", ".join(["%d"] * series.num_vars) + "]}"
+    if series.ring is None:
+        line = '{"coefficient": %d, ' + exponent
+        items = [line % (terms[e], *e) for e in order]
+        orders = "null"
+    else:
+        heads = _CharHeads()
+        line = '{"coefficient": [%s], ' + exponent
+        items = [line % (", ".join([heads[ce] % x for ce, x in sorted(terms[e].terms.items())]),
+                         *e)
+                 for e in order]
+        orders = "[" + ", ".join(map(str, series.ring.orders)) + "]"
+    return ('{"bound": %d, "num_vars": %d, "ring_orders": %s, "terms": [%s]}'
+            % (series.bound, series.num_vars, orders, ", ".join(items)))
+
+
+class _CharHeads(dict):
+    """The machine template of each character part, built on first use."""
+
+    def __missing__(self, ce):
+        head = self[ce] = '{"coeff": %d, "exponents": [' + ", ".join(map(str, ce)) + "]}"
+        return head
 
 
 def render_machine(series: Series) -> dict:
-    """JSON-ready dict that :func:`parse_machine` inverts exactly."""
-    terms = []
-    for exps, c in series.items():
-        if series.ring is not None:
-            c = [{"exponents": list(e), "coeff": x} for e, x in sorted(c.terms.items())]
-        terms.append({"exponent": list(exps), "coefficient": c})
-    return {
-        "num_vars": series.num_vars,
-        "bound": series.bound,
-        "ring_orders": None if series.ring is None else list(series.ring.orders),
-        "terms": terms,
-    }
+    """The parsed :func:`dump_machine` output: a JSON-ready dict that
+    :func:`parse_machine` inverts exactly."""
+    return json.loads(dump_machine(series))
 
 
 def parse_machine(data: dict) -> Series:

@@ -3,17 +3,26 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 from eqpoincare import cli
-from eqpoincare.engine import curve_poincare, divisorial_poincare
+from eqpoincare.engine import (
+    curve_poincare,
+    divisorial_poincare,
+    plan_poincare,
+    quotient_extract,
+    restrict_to_character,
+)
 from eqpoincare.jobs import load_job
-from eqpoincare.powerseries import Series, parse_machine, series_eq_upto
+from eqpoincare.powerseries import Series, parse_machine, render_machine, series_eq_upto
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
 SRC = JOBS.parent / "src"
@@ -465,3 +474,123 @@ def test_usage_error_and_help_leave_the_next_call_alone(capsys):
     assert "--character" in helped.getvalue()
     assert run(*plain) == 0
     assert capsys.readouterr().out == alone
+
+
+def series_of(command, name, degree, character=None):
+    """The series ``command`` writes, computed without the CLI."""
+    job = load_job(JOBS / f"{name}.json")
+    if command == "extract":
+        return quotient_extract(*plan_poincare(job.model, job.extract, degree))
+    series = divisorial_poincare(job.model, degree)
+    if character is not None:
+        series = restrict_to_character(series, job.model.ring.reduce(character))
+    return series
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("command,name,degree,character", [
+    ("compute", "example1", 40, None),
+    ("compute", "example1", 40, (1,)),
+    ("extract", "example3", 12, None),
+])
+def test_output_file_holds_the_bytes_of_stdout(command, name, degree, character, fmt,
+                                               tmp_path, capsys):
+    argv = [command, JOBS / f"{name}.json", "--degree", degree, "--format", fmt]
+    if character is not None:
+        argv += ["--character", ",".join(map(str, character))]
+    assert run(*argv) == 0
+    out = capsys.readouterr().out
+    path = tmp_path / "series.out"
+    assert run(*argv, "--output", path) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == out.encode()
+    if fmt == "machine":
+        series = series_of(command, name, degree, character)
+        assert out == json.dumps(render_machine(series), sort_keys=True) + "\n"
+
+
+SHIPPED = {path.stem: json.loads(path.read_text()) for path in sorted(JOBS.glob("*.json"))}
+
+
+def fields(node, at=()):
+    """The path of every key and list item below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield at + (key,)
+        if isinstance(value, (dict, list)):
+            yield from fields(value, at + (key,))
+
+
+def value_at(doc, at):
+    for key in at:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated_runs(draw):
+    """One field of one shipped job deleted, retyped or made huge, and the
+    argv of a command at a small degree."""
+    doc = copy.deepcopy(SHIPPED[draw(st.sampled_from(sorted(SHIPPED)))])
+    kind = draw(st.sampled_from(["delete", "retype", "huge"]))
+    at = draw(st.sampled_from([at for at in fields(doc)
+                               if kind != "huge" or type(value_at(doc, at)) is int]))
+    parent = value_at(doc, at[:-1])
+    if kind == "delete":
+        del parent[at[-1]]
+    elif kind == "retype":
+        parent[at[-1]] = draw(st.sampled_from(["x", None, True, 1.5, [], {}, [1], -1, 0]))
+    else:
+        parent[at[-1]] = draw(st.sampled_from([10**12, -10**12]))
+    command = draw(st.sampled_from(["validate", "compute", "curve", "check", "extract",
+                                    "explain"]))
+    degree = ["--degree", str(draw(st.integers(0, 4)))]
+    argv = {
+        "validate": ["validate"],
+        "explain": ["explain"],
+        "compute": ["compute", *degree],
+        "curve": ["compute", *degree, "--mode", "curve"],
+        "check": ["check", *degree],
+        "extract": ["extract", *degree],
+    }[command]
+    return doc, argv
+
+
+@seed(22)
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_runs())
+def test_mutated_shipped_jobs_exit_with_a_documented_code(tmp_path, run_args):
+    doc, argv = run_args
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([argv[0], str(path), *argv[1:]])
+    assert code in (0, 1, 2)
+
+
+@pytest.mark.parametrize("name,mutate,command,code", [
+    ("single_blowup", lambda d: d["strata"][0].update(chi=10**12), "compute", 0),
+    ("single_blowup", lambda d: d["strata"][0].update(chi=10**12), "check", 1),
+    ("example1", lambda d: d["expected"]["divisorial"][0].update(power=10**12), "check", 2),
+    ("example2", lambda d: d["expected"]["extract"][0].update(power=10**12), "check", 0),
+], ids=["chi compute", "chi check", "divisorial power", "extract power"])
+def test_a_huge_power_takes_no_longer_than_the_degree(name, mutate, command, code,
+                                                       tmp_path, capsys):
+    doc = copy.deepcopy(SHIPPED[name])
+    mutate(doc)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert run(command, path, "--degree", 4) == code
+    assert time.perf_counter() - start < 10  # one pass per unit of power would never end
+    out = capsys.readouterr().out
+    if command == "compute":
+        p = 10**12
+        assert out.splitlines() == [f"{math.comb(k + p - 1, k)} * u^() * t^({k})"
+                                    for k in range(5)]
+    elif code == 1:
+        assert "chi sum 1000000000000, expected 2 [MISMATCH]" in out
+    elif code == 2:
+        assert "vs -1000000000000*u^(1,)" in out

@@ -1,3 +1,7 @@
+import json
+import math
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +12,7 @@ from eqpoincare.powerseries import (
     PlanError,
     Series,
     SubstitutionPlan,
+    dump_machine,
     expand,
     factor_power,
     parse_machine,
@@ -314,3 +319,100 @@ def test_expand_rejects_factors_that_are_not_power_series(record, message):
 
 def test_expand_allows_a_constant_factor_to_the_power_zero():
     assert expand([((0, 0), None, 0)], 2, 6) == Series.one(2, 6)
+
+
+@pytest.mark.parametrize("power", [10**12, -10**12])
+def test_expand_takes_a_huge_power_in_one_pass(power):
+    start = time.perf_counter()
+    s = expand([((1,), None, power)], 1, 4)
+    assert time.perf_counter() - start < 10  # one pass per unit of power would never end
+    p = abs(power)
+    want = [math.comb(k + p - 1, k) if power < 0 else (-1) ** k * math.comb(p, k)
+            for k in range(5)]
+    assert [s.coefficient((k,)) for k in range(5)] == want
+    assert expand([((5,), None, power)], 1, 4) == Series.one(1, 4)
+
+
+@st.composite
+def steep_expansions(draw):
+    """Like :func:`expansions`, with powers up to 12 and steps 1..3, so
+    that both the repeated passes and the one binomial pass run."""
+    records, num_vars, _, ring = draw(expansions())
+    bound = draw(st.integers(0, 10))
+    exponent = st.tuples(*[st.integers(0, 3)] * num_vars).filter(lambda m: 1 <= sum(m) <= 3)
+    records = [(draw(exponent), l, draw(st.integers(-12, 12)), c)
+               for _, l, _, c in records]
+    return records, num_vars, bound, ring
+
+
+@settings(max_examples=150)
+@given(steep_expansions())
+def test_expand_equals_the_fold_for_steep_powers(args):
+    records, num_vars, bound, ring = args
+    assert expand(records, num_vars, bound, ring) == fold(records, num_vars, bound, ring)
+
+
+def reference_text(series):
+    """The text format as written before the templates, term by term."""
+    lines = []
+    for exps, c in series.items():
+        tpart = "t^(" + ",".join(map(str, exps)) + ")"
+        if series.ring is None:
+            lines.append(f"{c} * {tpart}")
+        else:
+            for ce, x in sorted(c.terms.items()):
+                lines.append(f"{x} * u^(" + ",".join(map(str, ce)) + f") * {tpart}")
+    return "\n".join(lines) if lines else "0"
+
+
+def reference_dict(series):
+    """The machine format as the dicts that ``json.dumps`` used to encode."""
+    terms = []
+    for exps, c in series.items():
+        if series.ring is not None:
+            c = [{"exponents": list(e), "coeff": x} for e, x in sorted(c.terms.items())]
+        terms.append({"exponent": list(exps), "coefficient": c})
+    return {
+        "num_vars": series.num_vars,
+        "bound": series.bound,
+        "ring_orders": None if series.ring is None else list(series.ring.orders),
+        "terms": terms,
+    }
+
+
+@st.composite
+def written_series(draw):
+    """Series over every kind of ring, in 0 to 3 variables, with
+    multi-part, negative and beyond-64-bit coefficients, and empty ones."""
+    ring = draw(st.sampled_from(
+        [None, CharacterRing(()), CharacterRing((3,)), CharacterRing((2, 2))]))
+    num_vars = draw(st.integers(0, 3))
+    bound = draw(st.integers(0, 6))
+    exponent = st.tuples(*[st.integers(0, bound)] * num_vars).filter(
+        lambda e: sum(e) <= bound)
+    value = st.one_of(st.integers(-5, 5), st.integers(-2**70, 2**70))
+    if ring is None:
+        coeff = value
+    else:
+        chars = list(ring.characters())
+        coeff = st.dictionaries(st.sampled_from(chars), value, max_size=len(chars)).map(
+            ring.element)
+    return Series(num_vars, bound, ring, draw(st.dictionaries(exponent, coeff, max_size=8)))
+
+
+@settings(max_examples=200)
+@given(written_series())
+def test_writers_match_the_dict_and_line_references(s):
+    text = dump_machine(s)
+    assert text == json.dumps(reference_dict(s), sort_keys=True)
+    assert render_machine(s) == reference_dict(s)
+    assert render_text(s) == reference_text(s)
+    assert parse_machine(json.loads(text)) == s
+
+
+@pytest.mark.parametrize("ring,orders", [(None, "null"), (CharacterRing(()), "[]")])
+def test_machine_ring_orders_of_the_trivial_group(ring, orders):
+    s = Series.zero(2, 3, ring)
+    assert dump_machine(s) == (
+        '{"bound": 3, "num_vars": 2, "ring_orders": %s, "terms": []}' % orders)
+    assert render_text(s) == "0"
