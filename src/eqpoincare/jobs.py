@@ -38,14 +38,24 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _at(where) -> str:
+    """The field path of a message: ``where`` as it is when a string, or
+    ``name[index]suffix`` from a ``(name, index[, suffix])`` tuple.  The
+    loader passes tuples for list items and formats them only to raise."""
+    if isinstance(where, str):
+        return where
+    name, index, *suffix = where
+    return f"{name}[{index}]" + "".join(suffix)
+
+
 def _require(mapping, key, where, types=None):
     if not isinstance(mapping, dict):
-        raise JobError(f"{where}: expected an object, got {type(mapping).__name__}")
+        raise JobError(f"{_at(where)}: expected an object, got {type(mapping).__name__}")
     if key not in mapping:
-        raise JobError(f"{where}: missing required field {key!r}")
+        raise JobError(f"{_at(where)}: missing required field {key!r}")
     value = mapping[key]
     if types is not None and (not isinstance(value, types) or isinstance(value, bool)):
-        raise JobError(f"{where}.{key}: unexpected type {type(value).__name__}")
+        raise JobError(f"{_at(where)}.{key}: unexpected type {type(value).__name__}")
     return value
 
 
@@ -57,21 +67,28 @@ def _optional(mapping, key, where, types):
 
 
 def _int_list(value, where):
-    if not isinstance(value, list) or not all(_is_int(x) for x in value):
-        raise JobError(f"{where}: expected a list of integers, got {value!r}")
-    return tuple(value)
+    if isinstance(value, list):
+        for x in value:
+            if not isinstance(x, int) or isinstance(x, bool):
+                break
+        else:
+            return tuple(value)
+    raise JobError(f"{_at(where)}: expected a list of integers, got {value!r}")
 
 
 def _component_id(value, where):
-    if not (isinstance(value, str) or _is_int(value)):
-        raise JobError(f"{where}: component ids are strings or integers, got {value!r}")
+    if not isinstance(value, (str, int)) or isinstance(value, bool):
+        raise JobError(f"{_at(where)}: component ids are strings or integers, got {value!r}")
     return value
 
 
 def _id_list(value, where):
     if not isinstance(value, list):
-        raise JobError(f"{where}: expected a list of component ids, got {value!r}")
-    return tuple(_component_id(x, where) for x in value)
+        raise JobError(f"{_at(where)}: expected a list of component ids, got {value!r}")
+    for x in value:
+        if not isinstance(x, (str, int)) or isinstance(x, bool):
+            _component_id(x, where)
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -125,14 +142,14 @@ class Job:
 def _parse_strata(items, ring):
     strata = []
     for i, raw in enumerate(items):
-        where = f"strata[{i}]"
-        carrier = _id_list(_require(raw, "carrier", where), f"{where}.carrier")
+        where = ("strata", i)
+        carrier = _id_list(_require(raw, "carrier", where), ("strata", i, ".carrier"))
         chi = _require(raw, "chi", where, int)
         label = raw.get("label")
         degree = _optional(raw, "degree", where, int)
         if degree is not None and degree != len(carrier):
             raise JobError(
-                f"{where}: declared degree {degree} but the carrier has "
+                f"{_at(where)}: declared degree {degree} but the carrier has "
                 f"{len(carrier)} entries"
             )
         char_exponents = None
@@ -140,16 +157,16 @@ def _parse_strata(items, ring):
         spec = _optional(raw, "character", where, dict)
         if spec is not None:
             if "exponents" in spec:
-                char_exponents = _int_list(spec["exponents"], f"{where}.character")
+                char_exponents = _int_list(spec["exponents"], ("strata", i, ".character"))
             if "from_point" in spec:
                 fp = spec["from_point"]
+                here = ("strata", i, ".character.from_point")
                 derivation = CharDerivation(
-                    _int_list(_require(fp, "exponents", f"{where}.character.from_point")
-                              , f"{where}.character.from_point"),
-                    _require(fp, "orbit_size", f"{where}.character.from_point", int),
+                    _int_list(_require(fp, "exponents", here), here),
+                    _require(fp, "orbit_size", here, int),
                 )
             if char_exponents is None and derivation is None:
-                raise JobError(f"{where}.character: needs exponents or from_point")
+                raise JobError(f"{_at(where)}.character: needs exponents or from_point")
         strata.append(
             Stratum(carrier, chi, char_exponents=char_exponents,
                     derivation=derivation, label=label)
@@ -161,19 +178,19 @@ def _parse_plan(items, num_vars):
     entries = [None] * num_vars
     seen = set()
     for i, raw in enumerate(items):
-        where = f"extract.plan[{i}]"
+        where = ("extract.plan", i)
         var = _require(raw, "variable", where, int)
         if not 1 <= var <= num_vars:
-            raise JobError(f"{where}: variable {var} out of range 1..{num_vars}")
+            raise JobError(f"{_at(where)}: variable {var} out of range 1..{num_vars}")
         if var in seen:
-            raise JobError(f"{where}: variable {var} mapped twice")
+            raise JobError(f"{_at(where)}: variable {var} mapped twice")
         seen.add(var)
         if raw.get("drop"):
             continue
         out = _require(raw, "output", where, int)
         den = raw.get("denominator", 1)
         if not _is_int(den):
-            raise JobError(f"{where}: denominator must be an integer")
+            raise JobError(f"{_at(where)}: denominator must be an integer")
         entries[var - 1] = (out - 1, den)
     if seen != set(range(1, num_vars + 1)):
         missing = sorted(set(range(1, num_vars + 1)) - seen)
@@ -191,14 +208,14 @@ def _parse_expected_factors(items, where, ring_q):
         raise JobError(f"{where}: expected a list of factors, got {items!r}")
     factors = []
     for i, raw in enumerate(items):
-        here = f"{where}[{i}]"
+        here = (where, i)
         exponent = _int_list(_require(raw, "exponent", here), here)
         power = _require(raw, "power", here, int)
         if any(x < 0 for x in exponent):
-            raise JobError(f"{here}: exponent {exponent} has a negative entry")
+            raise JobError(f"{_at(here)}: exponent {exponent} has a negative entry")
         if power != 0 and not any(exponent):
             raise JobError(
-                f"{here}: exponent {exponent} is zero with power {power}; the "
+                f"{_at(here)}: exponent {exponent} is zero with power {power}; the "
                 "factor would not be a power series"
             )
         character = None
@@ -206,12 +223,12 @@ def _parse_expected_factors(items, where, ring_q):
             character = _int_list(raw["character"], here)
             if ring_q is not None and len(character) != ring_q:
                 raise JobError(
-                    f"{here}: character {character} does not match the "
+                    f"{_at(here)}: character {character} does not match the "
                     f"{ring_q} ring generators"
                 )
         coefficient = raw.get("coefficient", 1)
         if not _is_int(coefficient):
-            raise JobError(f"{here}: coefficient must be an integer")
+            raise JobError(f"{_at(here)}: coefficient must be an integer")
         factors.append(ExpectedFactor(exponent, power, character, coefficient))
     return tuple(factors)
 
@@ -231,14 +248,14 @@ def parse_job(data: dict, name: str = "job") -> Job:
     graph_raw = _require(data, "graph", "job", dict)
     comps = []
     for i, c in enumerate(_require(graph_raw, "components", "graph", list)):
-        where = f"graph.components[{i}]"
+        where = ("graph.components", i)
         comps.append(
-            (_component_id(_require(c, "id", where), f"{where}.id"),
+            (_component_id(_require(c, "id", where), ("graph.components", i, ".id")),
              _require(c, "self_intersection", where, int))
         )
     edges = []
     for i, e in enumerate(_require(graph_raw, "edges", "graph", list)):
-        edge = _id_list(e, f"graph.edges[{i}]")
+        edge = _id_list(e, ("graph.edges", i))
         if len(edge) != 2:
             raise JobError(f"graph.edges[{i}]: an edge is a pair of ids, got {e!r}")
         edges.append(edge)
@@ -262,14 +279,14 @@ def parse_job(data: dict, name: str = "job") -> Job:
     if orbits_raw is not None:
         orbits = []
         for i, raw in enumerate(orbits_raw):
-            where = f"orbits[{i}]"
+            where = ("orbits", i)
             components = _id_list(_require(raw, "components", where),
-                                  f"{where}.components")
+                                  ("orbits", i, ".components"))
             removed = _int_list(_require(raw, "removed", where), where)
             try:
                 orbits.append(OrbitDecl(components, removed))
             except ValueError as e:
-                raise JobError(f"{where}: {e}") from e
+                raise JobError(f"{_at(where)}: {e}") from e
         orbits = tuple(orbits)
 
     curve = None
@@ -277,8 +294,8 @@ def parse_job(data: dict, name: str = "job") -> Job:
     if raw is not None:
         branches = []
         for i, b in enumerate(_require(raw, "branches", "curve", list)):
-            attach = _component_id(_require(b, "attach", f"curve.branches[{i}]"),
-                                   f"curve.branches[{i}].attach")
+            attach = _component_id(_require(b, "attach", ("curve.branches", i)),
+                                   ("curve.branches", i, ".attach"))
             if attach not in known:
                 raise JobError(
                     f"curve.branches[{i}]: attach component {attach!r} unknown"
@@ -286,7 +303,7 @@ def parse_job(data: dict, name: str = "job") -> Job:
             branches.append(Branch(attach, b.get("label")))
         removed = []
         for i, r in enumerate(_optional(raw, "removed_points", "curve", list) or ()):
-            where = f"curve.removed_points[{i}]"
+            where = ("curve.removed_points", i)
             removed.append(
                 RemovedPointOrbit(
                     _require(r, "stratum", where, (str, int)),

@@ -11,18 +11,23 @@ monomials, so the Poincare series is the sum
 
 over the monomials whose valuations are all finite (torus localisation,
 chi(X) = chi(X^T); Campillo, Delgado and Gusein-Zade, Duke Math. J. 117,
-2003).  :func:`oracle_poincare` computes that sum.  It never touches the
-stratum product formula, which is the point: the two routes are
-independent.
+2003).  :func:`oracle_poincare` computes that sum.  It never calls
+``expand`` or the product formula, which is the point: the two routes
+are independent.
 
-The walk visits each monomial it counts once and no other.  Divisorial
+The walk visits exactly the monomials it counts, each once.  Divisorial
 mode: w(a, b) = a*r_x + b*r_y with r_x = w(1, 0) and r_y = w(0, 1),
 every entry >= 1; writing |v| for the sum of the entries, the walk runs
 a through D // |r_x| and then b through (D - a*|r_x|) // |r_y|, stepping
-w by r_y.  Curve mode: a branch "x=0" has valuation b at a = 0 and
-infinity elsewhere, a branch "y=0" has a at b = 0, so only monomials on
-an axis can have all valuations finite; a = 0 is forced when some
-branch is "x=0", b = 0 when some branch is "y=0", and the walk is O(D).
+w by r_y.  Each row a is counted at once: its weights are one range per
+coordinate with step r_y (no step is 0), its characters repeat with
+period m, and one ``Counter.update`` over their flat ``w + character``
+keys counts every monomial of the row once, in C iterators instead of a
+Python loop per monomial.  Curve mode: a branch "x=0" has valuation b
+at a = 0 and infinity elsewhere, a branch "y=0" has a at b = 0, so only
+monomials on an axis can have all valuations finite; a = 0 is forced
+when some branch is "x=0", b = 0 when some branch is "y=0", and the
+walk is O(D), one monomial at a time.
 
 The dimension route is kept as the reference the sum is tested
 against: :func:`oracle_tables` builds, per character, the table
@@ -45,7 +50,7 @@ import itertools
 import math
 import operator
 import warnings
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass
 
 from .charring import cyclic_character_ring
@@ -213,7 +218,7 @@ def oracle_poincare(mm: MonomialModel, model: StratumModel, degree: int,
     """Equivariant series through ``degree`` as the sum of
     u^chi(a,b) t^w(a,b) over the monomials with all valuations finite."""
     valuation, s, ring = _valuation(mm, model, mode)
-    counts = defaultdict(int)  # (w, character) -> number of monomials
+    counts = Counter()  # w + character, flat -> number of monomials
     if mode == "curve":
         a_top = 0 if "x=0" in mm.curve_axes else degree
         b_top = 0 if "y=0" in mm.curve_axes else degree
@@ -221,17 +226,23 @@ def oracle_poincare(mm: MonomialModel, model: StratumModel, degree: int,
             for b in range(min(b_top, degree - a) + 1):
                 w = valuation(a, b)
                 if INF not in w and sum(w) <= degree:
-                    counts[w, monomial_character(mm, a, b)] += 1
+                    counts[w + monomial_character(mm, a, b)] += 1
     else:
         row_x, row_y = valuation(1, 0), valuation(0, 1)
-        for a in range(degree // sum(row_x) + 1):
-            w = valuation(a, 0)
-            for b in range((degree - a * sum(row_x)) // sum(row_y) + 1):
-                counts[w, monomial_character(mm, a, b)] += 1
-                w = tuple(map(operator.add, w, row_y))
+        sx, sy = sum(row_x), sum(row_y)
+        for a in range(degree // sx + 1):
+            # row a: the n monomials x^a y^b with |w(a, b)| <= degree.
+            # Every entry of row_y is a multiplicity, so at least 1, and
+            # no range has step 0; the characters repeat with period m.
+            n = (degree - a * sx) // sy + 1
+            weights = zip(*[range(x, x + n * y, y)
+                            for x, y in zip(valuation(a, 0), row_y)])
+            period = [monomial_character(mm, a, b) for b in range(min(n, mm.order))]
+            chars = itertools.islice(itertools.cycle(period), n)
+            counts.update(map(operator.add, weights, chars))
     per_weight: dict = {}
-    for (w, alpha), n in counts.items():
-        per_weight.setdefault(w, {})[alpha] = n
+    for key, n in counts.items():
+        per_weight.setdefault(key[:s], {})[key[s:]] = n
     return Series(s, degree, ring, {w: ring.element(per) for w, per in per_weight.items()})
 
 

@@ -214,7 +214,11 @@ def series_eq_upto(a: Series, b: Series, degree: int):
     Returns ``(equal, first_difference)`` where the difference, if any,
     is ``(exponents, coeff_a, coeff_b)`` at the graded-lex-first exponent
     on which they disagree.  Asking for a degree beyond either bound is
-    an error: the data does not support the comparison.
+    an error: the data does not support the comparison.  When both
+    series stop at ``degree`` and their tables are equal, they agree with
+    no walk at all: no table holds a zero or a term beyond its bound, so
+    equal dicts are equal series.  Any other pair is walked in graded-lex
+    order up to its first difference.
     """
     if a.num_vars != b.num_vars:
         raise ValueError("cannot compare series in different numbers of variables")
@@ -225,6 +229,8 @@ def series_eq_upto(a: Series, b: Series, degree: int):
             f"comparison to degree {degree} exceeds a bound "
             f"({a.bound} and {b.bound}); result would be unverified"
         )
+    if a.bound == b.bound == degree and a.terms == b.terms:
+        return True, None
     zero = _zero_coeff(a.ring)
     keys = {e for e in a.terms if sum(e) <= degree}
     keys |= {e for e in b.terms if sum(e) <= degree}
@@ -326,11 +332,12 @@ def _push(out, buckets, d, m, step, shift, c) -> bool:
 def _push_binomial(out, buckets, m, step, shift, c, power, bound):
     """Multiply the table by (1 - c u^l t^m) ** power in one descending
     pass, ``out[v + k m] += b_k c^k u^(k l) out[v]`` for
-    ``1 <= k <= (bound - deg v) // step``, u^l being ``shift`` and b_k
-    from :func:`_binomials`; |power| must exceed ``bound // step``.
-    Going down the degrees, every ``out[v]`` is read before anything is
-    added to it."""
+    ``1 <= k <= (bound - deg v) // step``, and ``k <= power`` for a
+    nonnegative power, u^l being ``shift`` and b_k from
+    :func:`_binomials`.  Going down the degrees, every ``out[v]`` is read
+    before anything is added to it."""
     coeffs = [b * c ** k for k, b in enumerate(_binomials(power, bound // step))]
+    kmax = len(coeffs) - 1
     for d in sorted(buckets, reverse=True):
         if d + step > bound:
             continue
@@ -339,7 +346,7 @@ def _push_binomial(out, buckets, m, step, shift, c, power, bound):
             if not part:
                 continue
             w = v
-            for k in range(1, (bound - d) // step + 1):
+            for k in range(1, min((bound - d) // step, kmax) + 1):
                 w = tuple(map(add, w, m))
                 part = {shift[ch]: x for ch, x in part.items()}
                 dst = out.get(w)
@@ -364,11 +371,14 @@ def expand(records, num_vars: int, bound: int,
     ascending pass ``out[v + m] += c u^l out[v]`` over the support in
     order of total degree, multiplying by it one descending pass
     ``out[v + m] -= c u^l out[v]``; a factor with power p takes |p|
-    passes.  When |p| exceeds ``bound // |m|``, so that those passes
-    would outnumber the degrees they can reach, the factor is instead one
-    descending pass ``out[v + k m] += b_k c^k u^(k l) out[v]`` with its
-    binomial coefficients b_k (:func:`_push_binomial`), and the work is
-    bounded by the degree, not by |p|.  Nothing divides by a coefficient,
+    passes.  The factor is instead one descending pass
+    ``out[v + k m] += b_k c^k u^(k l) out[v]`` with its binomial
+    coefficients b_k (:func:`_push_binomial`) in two cases: when |p|
+    exceeds ``bound // |m|``, so that the |p| passes would outnumber the
+    degrees they can reach and the work is then bounded by the degree,
+    not by |p|; and when the table is one term (the first factor, on the
+    origin) and |p| > 1, where the one pass takes ``bound // |m|`` steps
+    and the |p| passes |p| times as many.  Nothing divides by a coefficient,
     so zero divisors in the ring are harmless.  The support is bucketed
     by the total degrees that occur, so the work and memory follow the
     terms, not the bound.
@@ -396,7 +406,7 @@ def expand(records, num_vars: int, bound: int,
                 "power series in t"
             )
         shift = _CharShift(ring, l)
-        if step and abs(power) > bound // step:
+        if step and (abs(power) > bound // step or len(out) == 1 < abs(power)):
             _push_binomial(out, buckets, m, step, shift, c, power, bound)
             continue
         for _ in range(abs(power)):

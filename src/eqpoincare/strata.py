@@ -59,6 +59,13 @@ class Stratum:
         return len(self.carrier)
 
 
+def _where(stratum: Stratum) -> str:
+    """How messages name a stratum: by label, else by carrier."""
+    if stratum.label:
+        return f"stratum {stratum.label!r}"
+    return f"stratum {stratum.carrier}"
+
+
 @dataclass(frozen=True)
 class StratumModel:
     graph: ResolutionGraph
@@ -77,24 +84,23 @@ class StratumModel:
                 raise StrataError(f"chosen component {c!r} is not in the graph")
         q = self.ring.num_generators
         for st in self.strata:
-            where = f"stratum {st.label!r}" if st.label else f"stratum {st.carrier}"
             for c in st.carrier:
                 if c not in known:
-                    raise StrataError(f"{where}: carrier component {c!r} unknown")
+                    raise StrataError(f"{_where(st)}: carrier component {c!r} unknown")
             if st.char_exponents is not None and len(st.char_exponents) != q:
                 raise StrataError(
-                    f"{where}: character exponents {st.char_exponents} do not "
+                    f"{_where(st)}: character exponents {st.char_exponents} do not "
                     f"match the {q} ring generators"
                 )
             if st.derivation is not None:
                 d = st.derivation
                 if len(d.p0_char_exponents) != q:
                     raise StrataError(
-                        f"{where}: derivation exponents {d.p0_char_exponents} "
+                        f"{_where(st)}: derivation exponents {d.p0_char_exponents} "
                         f"do not match the {q} ring generators"
                     )
                 if d.p0_orbit_size < 1:
-                    raise StrataError(f"{where}: orbit size must be positive")
+                    raise StrataError(f"{_where(st)}: orbit size must be positive")
 
     def multiplicities(self) -> MultiplicityMatrix:
         return self.graph.multiplicities
@@ -118,12 +124,11 @@ def derive_stratum_character(model: StratumModel, stratum: Stratum) -> tuple:
     answer; a mismatch means the declared data is inconsistent.
     """
     d = stratum.derivation
-    where = f"stratum {stratum.label!r}" if stratum.label else f"stratum {stratum.carrier}"
     if d is None:
-        raise StrataError(f"{where}: no character derivation data")
+        raise StrataError(f"{_where(stratum)}: no character derivation data")
     if stratum.degree % d.p0_orbit_size != 0:
         raise StrataError(
-            f"{where}: degree {stratum.degree} is not a multiple of the "
+            f"{_where(stratum)}: degree {stratum.degree} is not a multiple of the "
             f"reference orbit size {d.p0_orbit_size}"
         )
     scale = stratum.degree // d.p0_orbit_size
@@ -131,13 +136,13 @@ def derive_stratum_character(model: StratumModel, stratum: Stratum) -> tuple:
     e0 = model.graph.first_blown_up
     ring = model.ring
     results = {}
-    for c in set(stratum.carrier):
+    for c in dict.fromkeys(stratum.carrier):
         k = m.entry(c, e0) * scale
         results[c] = ring.reduce(tuple(e * k for e in d.p0_char_exponents))
     distinct = set(results.values())
     if len(distinct) > 1:
         raise StrataError(
-            f"{where}: carrier entries disagree on the derived character: {results}"
+            f"{_where(stratum)}: carrier entries disagree on the derived character: {results}"
         )
     return distinct.pop()
 
@@ -151,19 +156,15 @@ def resolve_character(model: StratumModel, stratum: Stratum) -> tuple:
     if stratum.derivation is not None:
         derived = derive_stratum_character(model, stratum)
         if direct is not None and direct != derived:
-            where = (f"stratum {stratum.label!r}" if stratum.label
-                     else f"stratum {stratum.carrier}")
             raise StrataError(
-                f"{where}: declared character {direct} but derivation gives {derived}"
+                f"{_where(stratum)}: declared character {direct} but derivation gives {derived}"
             )
         return derived
     if direct is not None:
         return direct
     if ring.num_generators == 0:
         return ()
-    where = (f"stratum {stratum.label!r}" if stratum.label
-             else f"stratum {stratum.carrier}")
-    raise StrataError(f"{where}: no character given and nothing to derive it from")
+    raise StrataError(f"{_where(stratum)}: no character given and nothing to derive it from")
 
 
 @dataclass(frozen=True)
@@ -223,15 +224,14 @@ def validate_strata(model: StratumModel, orbits) -> StrataReport:
                 orbit_of[c] = i
     sums = [0] * len(orbits)
     for st in model.strata:
-        support = set(st.carrier)
+        support = dict.fromkeys(st.carrier)  # carrier order, for stable messages
         touched = {orbit_of[c] for c in support if c in orbit_of}
         unassigned = [c for c in support if c not in orbit_of]
-        where = f"stratum {st.label!r}" if st.label else f"stratum {st.carrier}"
         if unassigned:
-            findings.append(f"{where}: carrier components {unassigned} in no orbit")
+            findings.append(f"{_where(st)}: carrier components {unassigned} in no orbit")
             continue
         if len(touched) != 1:
-            findings.append(f"{where}: carrier spans several component orbits")
+            findings.append(f"{_where(st)}: carrier spans several component orbits")
             continue
         sums[touched.pop()] += st.chi * st.degree
     checks = []

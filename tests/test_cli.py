@@ -594,3 +594,24 @@ def test_a_huge_power_takes_no_longer_than_the_degree(name, mutate, command, cod
         assert "chi sum 1000000000000, expected 2 [MISMATCH]" in out
     elif code == 2:
         assert "vs -1000000000000*u^(1,)" in out
+
+
+def test_validate_output_does_not_depend_on_the_string_hash_seed(tmp_path):
+    with open(JOBS / "example3.json") as fh:
+        doc = json.load(fh)
+    doc["orbits"] = []
+    path = tmp_path / "no_orbits.json"
+    path.write_text(json.dumps(doc))
+    outs = []
+    for hash_seed in ("0", "5"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "eqpoincare.cli", "validate", str(path)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": hash_seed},
+        )
+        assert proc.returncode == 1, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    # the components in carrier order
+    assert "stratum 'tau points': carrier components ['B2', 'B5'] in no orbit" in outs[0]
+    assert "stratum 'tip 2 open': carrier components ['B2', 'B5'] in no orbit" in outs[0]

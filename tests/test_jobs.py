@@ -256,3 +256,49 @@ def test_oracle_at_high_degree(name, degree, terms):
     for other in (counted, job.expected_series("divisorial", degree)):
         ok, diff = series_eq_upto(engine, other, degree)
         assert ok, diff
+
+
+DELETE = object()
+
+
+@pytest.mark.parametrize("path,value,message", [
+    (("strata", 2, "carrier"), "x",
+     "strata[2].carrier: expected a list of component ids, got 'x'"),
+    (("graph", "components", 1, "id"), True,
+     "graph.components[1].id: component ids are strings or integers, got True"),
+    (("orbits", 0, "removed"), None,
+     "orbits[0]: expected a list of integers, got None"),
+    (("expected", "divisorial", 1, "exponent"), [1, -1, 0],
+     "expected.divisorial[1]: exponent (1, -1, 0) has a negative entry"),
+    (("strata", 0, "character", "from_point", "orbit_size"), "2",
+     "strata[0].character.from_point.orbit_size: unexpected type str"),
+    (("strata", 0, "character", "from_point", "exponents"), [1.0],
+     "strata[0].character.from_point: expected a list of integers, got [1.0]"),
+    (("strata", 3, "character"), {"exponents": [True]},
+     "strata[3].character: expected a list of integers, got [True]"),
+    (("strata", 1), 5, "strata[1]: expected an object, got int"),
+    (("graph", "edges", 1), [1, None],
+     "graph.edges[1]: component ids are strings or integers, got None"),
+    (("orbits", 1, "components"), [None],
+     "orbits[1].components: component ids are strings or integers, got None"),
+    (("curve", "branches", 0, "attach"), DELETE,
+     "curve.branches[0]: missing required field 'attach'"),
+    (("curve", "removed_points", 0, "count"), 1.5,
+     "curve.removed_points[0].count: unexpected type float"),
+    (("extract", "plan", 1, "variable"), 9,
+     "extract.plan[1]: variable 9 out of range 1..3"),
+    (("expected", "divisorial", 0, "coefficient"), "1",
+     "expected.divisorial[0]: coefficient must be an integer"),
+])
+def test_error_messages_name_the_whole_field_path(path, value, message):
+    doc = example1_doc()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    with pytest.raises(JobError) as err:
+        parse_job(doc)
+    assert str(err.value) == message

@@ -5,6 +5,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eqpoincare import powerseries
 from eqpoincare.charring import CharacterRing, CharElement
 from eqpoincare.engine import augmented_series, quotient_extract, restrict_to_character
 from eqpoincare.powerseries import (
@@ -15,6 +16,7 @@ from eqpoincare.powerseries import (
     dump_machine,
     expand,
     factor_power,
+    graded_lex_key,
     parse_machine,
     render_machine,
     render_text,
@@ -416,3 +418,92 @@ def test_machine_ring_orders_of_the_trivial_group(ring, orders):
     assert dump_machine(s) == (
         '{"bound": 3, "num_vars": 2, "ring_orders": %s, "terms": []}' % orders)
     assert render_text(s) == "0"
+
+
+def walked_eq_upto(a, b, degree):
+    """series_eq_upto as it was before equal tables returned early: every
+    pair is walked in graded-lex order."""
+    zero = 0 if a.ring is None else a.ring.zero()
+    keys = {e for e in a.terms if sum(e) <= degree}
+    keys |= {e for e in b.terms if sum(e) <= degree}
+    for e in sorted(keys, key=graded_lex_key):
+        ca = a.terms.get(e, zero)
+        cb = b.terms.get(e, zero)
+        if ca != cb:
+            return False, (e, ca, cb)
+    return True, None
+
+
+def count_sort_keys(monkeypatch):
+    calls = []
+
+    def counted(exponents):
+        calls.append(exponents)
+        return graded_lex_key(exponents)
+
+    monkeypatch.setattr(powerseries, "graded_lex_key", counted)
+    return calls
+
+
+def test_equal_tables_are_equal_without_ordering(monkeypatch):
+    a = expand([((1, 2), None, -3), ((2, 1), None, 2)], 2, 12)
+    b = Series(2, 12, None, dict(a.terms))
+    calls = count_sort_keys(monkeypatch)
+    assert series_eq_upto(a, b, 12) == (True, None)
+    assert calls == []
+    # a bound above the degree takes the walk, on either side
+    assert series_eq_upto(a, b, 11) == (True, None)
+    assert calls
+    calls.clear()
+    longer = expand([((1, 2), None, -3), ((2, 1), None, 2)], 2, 13)
+    assert series_eq_upto(a, longer, 12) == (True, None)
+    assert calls
+
+
+@st.composite
+def compared_pairs(draw):
+    """A written series, the same series with up to three terms changed,
+    and a degree through which to compare them."""
+    a = draw(written_series())
+    exponent = st.tuples(*[st.integers(0, a.bound)] * a.num_vars).filter(
+        lambda e: sum(e) <= a.bound)
+    edits = draw(st.dictionaries(exponent, st.integers(-2, 2), max_size=3))
+    b = a + Series(a.num_vars, a.bound, a.ring, edits)
+    return a, b, draw(st.integers(0, a.bound))
+
+
+@settings(max_examples=200)
+@given(compared_pairs())
+def test_comparison_reports_the_walked_first_difference(pair):
+    a, b, degree = pair
+    assert series_eq_upto(a, b, degree) == walked_eq_upto(a, b, degree)
+    assert series_eq_upto(b, a, degree) == walked_eq_upto(b, a, degree)
+
+
+@pytest.mark.parametrize("power", range(-6, 7))
+def test_expand_a_lone_first_factor_equals_the_fold(power):
+    # on the one-term table the first factor is one binomial pass, also
+    # for a positive power below bound // step, where k stops at power
+    ring = CharacterRing((3,))
+    for bound in range(13):
+        for m in ((1, 0), (1, 2)):
+            records = [(m, (1,), power, -1), ((1, 1), (2,), -1, 1)]
+            got = expand(records, 2, bound, ring)
+            want = fold(records, 2, bound, ring)
+            assert got.terms.keys() == want.terms.keys(), (bound, m)
+            assert got == want, (bound, m)
+
+
+def test_a_lone_first_factor_takes_one_pass(monkeypatch):
+    binomial, single = [], []
+    monkeypatch.setattr(powerseries, "_push_binomial",
+                        lambda *args, push=powerseries._push_binomial:
+                        binomial.append(args[-2]) or push(*args))
+    monkeypatch.setattr(powerseries, "_push",
+                        lambda *args, push=powerseries._push:
+                        single.append(args[-1]) or push(*args))
+    records = [((1,), None, -2, 1), ((2,), None, -2, 1)]
+    assert expand(records, 1, 100) == fold(records, 1, 100, None)
+    # the second factor meets a full table and takes its two passes
+    assert binomial == [-2]
+    assert single and set(single) == {1}

@@ -85,6 +85,21 @@ def test_carrier_entries_must_agree_on_character():
         derive_stratum_character(model, st)
 
 
+def test_carrier_entries_that_disagree_are_listed_in_carrier_order():
+    # the same cusp chain with string ids, which a set would order by
+    # the string hash seed
+    g = ResolutionGraph((("P", -3), ("Q", -2), ("R", -1)), (("P", "R"), ("R", "Q")), "P")
+    ring = CharacterRing((3,))
+    st = Stratum(("R", "P", "R"), 1, derivation=CharDerivation((1,), 3))
+    model = StratumModel(g, ring, ("P",), (st,))
+    with pytest.raises(StrataError) as err:
+        derive_stratum_character(model, st)
+    assert str(err.value) == (
+        "stratum ('R', 'P', 'R'): carrier entries disagree on the derived "
+        "character: {'R': (2,), 'P': (1,)}"
+    )
+
+
 def test_model_validation():
     g = ResolutionGraph(((1, -1),), (), 1)
     ring = CharacterRing((3,))
