@@ -30,7 +30,7 @@ from .engine import (
 )
 from .jobs import Job, JobError, load_job
 from .oracle import oracle_poincare
-from .powerseries import dump_machine, render_text, series_eq_upto
+from .powerseries import DivisibilityError, dump_machine, render_text, series_eq_upto
 # the benchmark's tracer wraps cli.render_machine by name
 from .powerseries import render_machine  # noqa: F401
 from .strata import (
@@ -93,10 +93,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(series, fmt: str, output):
-    if fmt == "machine":
-        text = dump_machine(series)
-    else:
-        text = render_text(series)
+    try:
+        text = dump_machine(series) if fmt == "machine" else render_text(series)
+    except ValueError as e:  # the writers' one error: an int past the digit limit
+        raise JobError(f"--degree: a coefficient has over {sys.get_int_max_str_digits()} "
+                       "digits, the interpreter's limit for writing an integer") from e
     if output:
         with open(output, "w") as fh:
             fh.write(text + "\n")
@@ -129,24 +130,26 @@ def _curve_series(job: Job, degree: int):
 def _extract_series(job: Job, degree: int):
     if job.extract is None:
         raise JobError(f"job {job.name!r} has no extract section")
-    return quotient_extract(*plan_poincare(job.model, job.extract, degree))
+    try:
+        return quotient_extract(*plan_poincare(job.model, job.extract, degree))
+    except DivisibilityError as e:
+        raise JobError(f"extract.plan: {e}") from e
 
 
 def _validation_lines(job: Job):
     """Structural checks beyond what loading already enforced.
 
-    Returns (lines, ok).  Loading has already checked the graph's shape;
-    building the multiplicity matrix blows it down to its first
-    component, and a graph that fails raises.  Then the character of every
-    stratum with chi != 0 is resolved, as the product formula needs it,
-    and the chi-weighted bookkeeping per component orbit is checked, for
-    the divisor and, when a curve section is present, for the divisor
-    with strict-transform points removed.
+    Returns (lines, ok).  Loading has already checked the graph's shape
+    and built its multiplicity matrix, which blows it down to its first
+    component.  Then the character of every stratum with chi != 0 is
+    resolved, as the product formula needs it, and the chi-weighted
+    bookkeeping per component orbit is checked, for the divisor and, when
+    a curve section is present, for the divisor with strict-transform
+    points removed.
     """
     lines = []
     ok = True
     graph = job.model.graph
-    job.model.multiplicities()
     lines.append(
         f"graph: {len(graph.components)} components, blows down to "
         f"{graph.first_blown_up!r}"

@@ -263,6 +263,7 @@ def parse_job(data: dict, name: str = "job") -> Job:
                        "graph.first_blown_up")
     try:
         graph = ResolutionGraph(tuple(comps), tuple(edges), e0)
+        graph.multiplicities  # blows the graph down to e0, or raises
     except ValueError as e:
         raise JobError(f"graph: {e}") from e
     known = set(graph.ids)

@@ -24,8 +24,8 @@ A series is written out by :func:`render_text` and by
 :func:`dump_machine`, the one writer of the machine format (the JSON
 text that ``json.dumps(..., sort_keys=True)`` would give);
 :func:`render_machine` is its parsed dict and :func:`parse_machine`
-reads either back.  Both writers go straight from the table, one ``%``
-template per term.
+reads either back.  Each writer formats a whole series with one ``%`` over
+one flat argument tuple, its templates built once per character (set).
 """
 
 from __future__ import annotations
@@ -69,6 +69,8 @@ def _check_size(num_vars: int, bound: int):
 
 
 class Series:
+    _degrees = None  # the exponents by total degree, when expand built the table
+
     def __init__(self, num_vars: int, bound: int, ring: CharacterRing | None = None,
                  terms: dict | None = None):
         _check_size(num_vars, bound)
@@ -90,15 +92,16 @@ class Series:
 
     @classmethod
     def _adopt(cls, num_vars: int, bound: int, ring: CharacterRing | None,
-               terms: dict) -> "Series":
-        """A series that takes ``terms`` as it is, neither copied nor
-        checked.  The caller guarantees the invariant of the module
-        docstring (right arity, exponents >= 0 with sum <= ``bound``, no
-        zero coefficient, a ``CharElement`` of ``ring`` with nonempty,
-        all-nonzero parts when ``ring`` is set) and changes no term after."""
+               terms: dict, degrees: dict | None = None) -> "Series":
+        """A series that takes ``terms`` (and ``degrees``, each exponent once
+        under its total degree) as it is, neither copied nor checked.  The
+        caller guarantees the invariant of the module docstring (right arity,
+        exponents >= 0 with sum <= ``bound``, no zero coefficient, a
+        ``CharElement`` of ``ring`` with nonempty, all-nonzero parts when
+        ``ring`` is set) and changes no term after."""
         series = cls.__new__(cls)
         series.num_vars, series.bound, series.ring = num_vars, bound, ring
-        series.terms = terms
+        series.terms, series._degrees = terms, degrees
         return series
 
     def _accept_coeff(self, c):
@@ -385,8 +388,8 @@ def expand(records, num_vars: int, bound: int,
 
     Every record's arity and sign are checked here and no pass writes
     beyond ``bound``, so with its zeros dropped the table meets the
-    ``terms`` invariant and is adopted, each character table uncopied.
-    """
+    ``terms`` invariant and is adopted, each character table uncopied, with
+    the degree buckets for the writers when no zero was dropped."""
     _check_size(num_vars, bound)
     origin = (0,) * num_vars
     trivial = () if ring is None else (0,) * ring.num_generators
@@ -432,7 +435,8 @@ def expand(records, num_vars: int, bound: int,
                 vec = {ch: x for ch, x in vec.items() if x}
             if vec:
                 terms[v] = CharElement._of(ring, vec)
-    return Series._adopt(num_vars, bound, ring, terms)
+    return Series._adopt(num_vars, bound, ring, terms,
+                         buckets if len(terms) == len(out) else None)
 
 
 @dataclass(frozen=True)
@@ -521,62 +525,84 @@ def substitute_and_rescale(series: Series, plan: SubstitutionPlan) -> Series:
     return Series._adopt(t, out_bound, series.ring, terms)
 
 
+def _graded_lex_order(series: Series) -> list:
+    """The exponents in graded-lex order: each total degree's bucket sorted,
+    the buckets :func:`expand` handed over or else made here."""
+    degrees = series._degrees
+    if degrees is None:
+        degrees = {}
+        for e in series.terms:
+            degrees.setdefault(sum(e), []).append(e)
+    order = []
+    for d in sorted(degrees):
+        order += sorted(degrees[d])
+    return order
+
+
+def _integer_args(terms, order, args: list) -> tuple:
+    """``args`` followed by each integer term's coefficient and exponents."""
+    for e in order:
+        args.append(terms[e])
+        args += e
+    return tuple(args)
+
+
 def render_text(series: Series) -> str:
     """One term per line, graded-lex order, character parts flattened.
 
     Integer series print ``c * t^(v)``; equivariant series print one
-    line ``c * u^(e) * t^(v)`` per character-basis component.  Each line
-    is one ``%`` of a template built once per series (and per character).
-    """
+    line ``c * u^(e) * t^(v)`` per character-basis component.  The text
+    is one ``%``: the lines' templates, one built per character, over one
+    flat list of each line's coefficient and exponents."""
     terms = series.terms
-    order = sorted(terms, key=graded_lex_key)
     tpart = "t^(" + ",".join(["%d"] * series.num_vars) + ")"
+    order = _graded_lex_order(series)
     if series.ring is None:
-        line = "%d * " + tpart
-        return "\n".join([line % (terms[e], *e) for e in order]) or "0"
-    lines = []
-    line_of: dict = {}
+        return "\n".join(["%d * " + tpart] * len(order)) % _integer_args(terms, order, []) or "0"
+    line_of, lines, args = {}, [], []
     for e in order:
         parts = terms[e].terms
-        for ce, x in sorted(parts.items()):
-            line = line_of.get(ce)
+        for ch in parts if len(parts) == 1 else sorted(parts):
+            line = line_of.get(ch)
             if line is None:
-                line = line_of[ce] = "%d * u^(" + ",".join(map(str, ce)) + ") * " + tpart
-            lines.append(line % (x, *e))
-    return "\n".join(lines) or "0"
+                line = line_of[ch] = "%d * u^(" + ",".join(map(str, ch)) + ") * " + tpart
+            lines.append(line)
+            args.append(parts[ch])
+            args += e
+    return "\n".join(lines) % tuple(args) or "0"
 
 
 def dump_machine(series: Series) -> str:
     """The machine format, the one writer of it: exactly
-    ``json.dumps(render_machine(series), sort_keys=True)``, written term
-    by term from the table without building the dicts or running the
-    JSON encoder.  A term is one ``%`` of a template built once per
-    series, a character part one ``%`` of a head built once per
-    character."""
+    ``json.dumps(render_machine(series), sort_keys=True)``, written from
+    the table without building the dicts or running the JSON encoder.
+    The whole document is one ``%`` of the header and the terms'
+    templates, one per set of characters of a coefficient, over one flat
+    list of the header's values and each term's parts, then exponents."""
     terms = series.terms
-    order = sorted(terms, key=graded_lex_key)
     exponent = '"exponent": [' + ", ".join(["%d"] * series.num_vars) + "]}"
+    order = _graded_lex_order(series)
+    head = '{"bound": %d, "num_vars": %d, "ring_orders": %s, "terms": ['
     if series.ring is None:
         line = '{"coefficient": %d, ' + exponent
-        items = [line % (terms[e], *e) for e in order]
-        orders = "null"
-    else:
-        heads = _CharHeads()
-        line = '{"coefficient": [%s], ' + exponent
-        items = [line % (", ".join([heads[ce] % x for ce, x in sorted(terms[e].terms.items())]),
-                         *e)
-                 for e in order]
-        orders = "[" + ", ".join(map(str, series.ring.orders)) + "]"
-    return ('{"bound": %d, "num_vars": %d, "ring_orders": %s, "terms": [%s]}'
-            % (series.bound, series.num_vars, orders, ", ".join(items)))
-
-
-class _CharHeads(dict):
-    """The machine template of each character part, built on first use."""
-
-    def __missing__(self, ce):
-        head = self[ce] = '{"coeff": %d, "exponents": [' + ", ".join(map(str, ce)) + "]}"
-        return head
+        args = _integer_args(terms, order, [series.bound, series.num_vars, "null"])
+        return (head + ", ".join([line] * len(order)) + "]}") % args
+    args = [series.bound, series.num_vars, "[" + ", ".join(map(str, series.ring.orders)) + "]"]
+    item_of, items = {}, []
+    for e in order:
+        parts = terms[e].terms
+        if len(parts) > 1:
+            parts = dict(sorted(parts.items()))
+        chars = (*parts,)
+        item = item_of.get(chars)
+        if item is None:
+            item = item_of[chars] = '{"coefficient": [' + ", ".join(
+                ['{"coeff": %d, "exponents": [' + ", ".join(map(str, ch)) + "]}"
+                 for ch in chars]) + "], " + exponent
+        items.append(item)
+        args += parts.values()
+        args += e
+    return (head + ", ".join(items) + "]}") % tuple(args)
 
 
 def render_machine(series: Series) -> dict:

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import math
@@ -118,6 +119,45 @@ def test_extract_checks_divisibility(tmp_path, capsys):
 
     assert run("extract", write_variant(tmp_path, halve), "--degree", 6) == 1
     assert "not divisible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "extract"])
+def test_a_plan_that_does_not_divide_names_the_plan(command, tmp_path, capsys):
+    def point_at_zero(doc):
+        doc["strata"][0]["character"]["from_point"]["exponents"][0] = 0
+
+    path = write_variant(tmp_path, point_at_zero)
+    assert run(command, path, "--degree", 2) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: extract.plan: exponent 2 of variable 1 in term (2, 1) "
+                          "is not divisible by 3"), err
+
+
+@pytest.mark.parametrize("command", ["validate", "compute", "check", "extract"])
+def test_a_graph_that_does_not_blow_down_names_the_graph(command, tmp_path, capsys):
+    def raise_one(doc):
+        doc["graph"]["components"][1]["self_intersection"] = -1
+
+    argv = [] if command == "validate" else ["--degree", 2]
+    assert run(command, write_variant(tmp_path, raise_one), *argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: graph: intersection matrix determinant is 1, "
+                          "expected -1"), err
+    assert "not a blow-up composition" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_a_coefficient_past_the_digit_limit_is_a_degree_error(fmt, tmp_path, capsys):
+    doc = copy.deepcopy(SHIPPED["single_blowup"])
+    doc["strata"][0]["chi"] = 10**12
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    # C(k + 10^12 - 1, k) has about 12 k digits: past the limit by k = 600
+    assert run("compute", path, "--degree", 600, "--format", fmt) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: --degree: a coefficient has over {sys.get_int_max_str_digits()} "
+                   "digits, the interpreter's limit for writing an integer\n")
 
 
 @pytest.mark.parametrize("name,degree", [
@@ -615,3 +655,163 @@ def test_validate_output_does_not_depend_on_the_string_hash_seed(tmp_path):
     # the components in carrier order
     assert "stratum 'tau points': carrier components ['B2', 'B5'] in no orbit" in outs[0]
     assert "stratum 'tip 2 open': carrier components ['B2', 'B5'] in no orbit" in outs[0]
+
+
+# The stdout of each shipped job's series commands, as sha256 digests of the
+# bytes written before the writers were rewritten to format a whole series at
+# once.  A case is "job kind degree format": kind is the divisorial or curve
+# series of `compute`, one `--character` of it, or `extract`.
+CHARACTER = {"example1": "1", "example2": "2", "example2_oracle": "3",
+             "example3": "1,0", "node_curve": "", "single_blowup": ""}
+OUTPUT_SHA256 = {
+    "example1 divisorial 25 text":
+        "17459d86d34f526f78d559752d714ea7851d97e3ffea90d252358308f52bcb4a",
+    "example1 divisorial 25 machine":
+        "76dce505c9733cb7819a718629e33edfe73f0144243004834fa359192233b13b",
+    "example1 divisorial 120 text":
+        "2ebde384713f56c95bc756a028020925ef4c97bee086e9d2281ec1bf6982ae2f",
+    "example1 divisorial 120 machine":
+        "735b0426151e2e476f5a6ac86ef56be3b075728bd811fb9251a477077f2bdadb",
+    "example1 curve 25 text":
+        "3bba9a007a1b2b1991210b21e974f460d61b1affcd030ce0f9bf501481728bb3",
+    "example1 curve 25 machine":
+        "738446be71a522da71cf0c0447657583d4faac0b31feae951d6829dfe6cfd774",
+    "example1 curve 120 text":
+        "9b16318558dac18ab07f6e5901e4ee9211bce0632c9f7461685b0ed66e4887ba",
+    "example1 curve 120 machine":
+        "22c4a0c255ab73b3883fdd40f77765d5972cf4228f086971412770ada77583db",
+    "example1 character 25 text":
+        "e5c6fc6235e5148005934689c98ed3c3c21c061ed64359a245f5eb87d9566d99",
+    "example1 character 25 machine":
+        "5425c10e2c9e0eb63bda923bb9c602a05c68789d98ed56c8ddd90b969eada475",
+    "example1 character 120 text":
+        "39f8964caae51521874fae32e9fdbcdcd4d074d3eeb5abd905614a33fc27217d",
+    "example1 character 120 machine":
+        "6cb3104b0b02fb26e3f177516b5581bd98b2dd35ee75efdbd989a671b4987332",
+    "example1 extract 25 text":
+        "044418c976f5c3e3c762f8d3f14d25c0625ac25c5c288f9e124a4923f1c779a7",
+    "example1 extract 25 machine":
+        "74d0b84493cf793d4e009499e0a81e289fe9f5874735976efca2d8b0e904419b",
+    "example1 extract 120 text":
+        "247ca90e88af485399bb79cefba69870176fd2a1551303069d40ab091ee890c2",
+    "example1 extract 120 machine":
+        "47186b8a889fdbdea93653a83c3f339153f3f40ea4227b40eb47d8b561ad8004",
+    "example2 divisorial 25 text":
+        "dc1432c117456e659b3c4f636ecffc9b2708a5f1386db556177452ff0d0a4f99",
+    "example2 divisorial 25 machine":
+        "8d9c080667de99fe7da37a76ad17ee23ba50e807275166be458abddb46154f9f",
+    "example2 divisorial 120 text":
+        "4c9124e4540a542c3246a8dcb92dcf7d876890e0902539caed8413aba34aaf67",
+    "example2 divisorial 120 machine":
+        "c6581486cf247244c251677f52d7153a58530bcb0e63e954effb77b330754334",
+    "example2 character 25 text":
+        "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+    "example2 character 25 machine":
+        "9773d795411552b7ef1d5d88604f0028667850ffc01836d03885399820fefb74",
+    "example2 character 120 text":
+        "fbd7bb8a209bb4354281826a23c27dcac38a8bc722ee48587d53576248ef1938",
+    "example2 character 120 machine":
+        "7eafffccf0d88a5a62d700df5001a0017e4811530054d69b1bd059b6cd4a38b8",
+    "example2 extract 25 text":
+        "bc953995a6b70a6942831ca88d9f25a8a5eed13a2e5e042cd1bdd11ba9191be3",
+    "example2 extract 25 machine":
+        "1336146ba271b4b3595faa8fa39d69513e00bbed3ed26966404aa6f2cc95e7cb",
+    "example2 extract 120 text":
+        "ee3a3c4b2e2249ee8cb397c6601f985e97adb15fd85dec57b44ac3b6d6b57926",
+    "example2 extract 120 machine":
+        "a0d21b8d7c195ad626cd34cc46e989ca1ac62d72ed1ad8492511dfe3e1c031c4",
+    "example2_oracle divisorial 25 text":
+        "2367b6a1da6b2522d0c332e024270b87bfed2ba7b27a097f3807ce44428e562c",
+    "example2_oracle divisorial 25 machine":
+        "e0f062f258874c9278f19b2cafde4a0523b744fa22dac4c50c5956fbcdf7ad83",
+    "example2_oracle divisorial 120 text":
+        "9036ffb435b4843b5a1f27626a19124dfe987b6311416f37d24347c8a362db23",
+    "example2_oracle divisorial 120 machine":
+        "1c336a33b129a28dd21ea066fcc9a92a18b56c12555feed2b7dab7a9899db740",
+    "example2_oracle character 25 text":
+        "a4b891ddde3eafd5768e31c561fad03047e8e0143e607031d597ff6991f71c4b",
+    "example2_oracle character 25 machine":
+        "28a554b0a774b8e809ec7a40c054640949afe819558fc20211eedea6825b3bab",
+    "example2_oracle character 120 text":
+        "e58d483c0a2072d32043b548aea4c05ae8ddcb9f72f028751eb28f0dcb0761af",
+    "example2_oracle character 120 machine":
+        "970f6af38d871ab4e7bed4c7ef12123dd694c2b1597b79603294b8d1b0ec473e",
+    "example3 divisorial 25 text":
+        "c16e70ca5cfac24093875fe6f40d2baee1e786c872adda5864e8a5c44ae839dc",
+    "example3 divisorial 25 machine":
+        "be2e918a2be149df06443ddbc4169ea11b2a504f5fcd2a5f4ed5a7b67be0aa01",
+    "example3 divisorial 120 text":
+        "f8d536d127e8667534e03380555da51a1b2c8ca3497fecba8d9c24685f4cbc31",
+    "example3 divisorial 120 machine":
+        "e6f34184b2d2f4718ab400465b4741e81b2aea778cfc7d5ac5f0fc8df808f0ac",
+    "example3 character 25 text":
+        "64481ca98514d0f81c8c610b64044d9afff05f806dc0d82735010d0bf4cf86c1",
+    "example3 character 25 machine":
+        "44a4cb779dc0a02a79e11ff19cb228a0b0c4a2b4ef12971f27afc4bd99bf7f91",
+    "example3 character 120 text":
+        "76a8cbd313e43c9428cb3690eb55a79a2a8ffd135ca35e7d97b28f546aa4bff5",
+    "example3 character 120 machine":
+        "88a14390aef15bc5abee02be00a629168a3ac81c69f60c74d19a350c4450fb0b",
+    "example3 extract 25 text":
+        "959a12566acbb2978007e7118f5d441b532a211f3826b320c2d7ba7558d1cbba",
+    "example3 extract 25 machine":
+        "23cc3b13b80a99710a3c7fca1da9927246fc73959132b48a2dd601845d576a06",
+    "example3 extract 120 text":
+        "f00d62afb6770e19fd37d30717ec91866d05150c56cf6644b0250f9654d83684",
+    "example3 extract 120 machine":
+        "9d5bb3ca55c375add394abdaf0d0855a263d41afdf08316e1c8d992e47e062da",
+    "node_curve divisorial 25 text":
+        "c99e3830f0d1f36e1a9c8989ec3ca375752850090afed36e57baddcfc7313bc8",
+    "node_curve divisorial 25 machine":
+        "a19a1a0e81f06e8435e789dd7b8792729bac5b059704a696a7c007f2a83658fd",
+    "node_curve divisorial 120 text":
+        "ed2c304e1da1127d54419a30b5968a6b803d843aa1f2eab76dbb7d55f2f6aa83",
+    "node_curve divisorial 120 machine":
+        "a8d4c881472db923533d4ef15b1ee8dc603039fd22b77687d53d3de8cbc6470a",
+    "node_curve curve 25 text":
+        "f1673182b78bf2b26279b5c2799aace92801698aeafe4e95cefc33fbeb1caef2",
+    "node_curve curve 25 machine":
+        "dc8fee280ee84621ee9bdab556c1c19a0ae8603b87e6cb282be9a129a3416107",
+    "node_curve curve 120 text":
+        "f1673182b78bf2b26279b5c2799aace92801698aeafe4e95cefc33fbeb1caef2",
+    "node_curve curve 120 machine":
+        "5ccf5260f3221a0da6b23c9aaefacc9495338ec6d69e24791aba221e7d0ccd7d",
+    "node_curve character 25 text":
+        "1feae7835729a1ec49f3aea648cc423bf2c074e7e6af7b06543801da4ad17b78",
+    "node_curve character 25 machine":
+        "58deb90a3e0c31f2bb673be68382311622990a5dc50cd2c3230ad3e221c5be51",
+    "node_curve character 120 text":
+        "13435d92beffda4134485f6ea3131d720c1093af5c05b9dc74b07327c4b6fb01",
+    "node_curve character 120 machine":
+        "dfbbcf87e68ea7799fbb2f8412774e3dcc3a5c9ae8e1b5dcefb82579a9dd143f",
+    "single_blowup divisorial 25 text":
+        "c99e3830f0d1f36e1a9c8989ec3ca375752850090afed36e57baddcfc7313bc8",
+    "single_blowup divisorial 25 machine":
+        "a19a1a0e81f06e8435e789dd7b8792729bac5b059704a696a7c007f2a83658fd",
+    "single_blowup divisorial 120 text":
+        "ed2c304e1da1127d54419a30b5968a6b803d843aa1f2eab76dbb7d55f2f6aa83",
+    "single_blowup divisorial 120 machine":
+        "a8d4c881472db923533d4ef15b1ee8dc603039fd22b77687d53d3de8cbc6470a",
+    "single_blowup character 25 text":
+        "1feae7835729a1ec49f3aea648cc423bf2c074e7e6af7b06543801da4ad17b78",
+    "single_blowup character 25 machine":
+        "58deb90a3e0c31f2bb673be68382311622990a5dc50cd2c3230ad3e221c5be51",
+    "single_blowup character 120 text":
+        "13435d92beffda4134485f6ea3131d720c1093af5c05b9dc74b07327c4b6fb01",
+    "single_blowup character 120 machine":
+        "dfbbcf87e68ea7799fbb2f8412774e3dcc3a5c9ae8e1b5dcefb82579a9dd143f",
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTPUT_SHA256))
+def test_shipped_output_bytes_are_frozen(case, capsys):
+    name, kind, degree, fmt = case.split()
+    argv = ["extract" if kind == "extract" else "compute", JOBS / f"{name}.json",
+            "--degree", degree, "--format", fmt]
+    if kind == "curve":
+        argv += ["--mode", "curve"]
+    elif kind == "character":
+        argv += ["--character", CHARACTER[name]]
+    assert run(*argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == OUTPUT_SHA256[case]

@@ -1,13 +1,21 @@
 import json
 import math
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqpoincare import powerseries
 from eqpoincare.charring import CharacterRing, CharElement
-from eqpoincare.engine import augmented_series, quotient_extract, restrict_to_character
+from eqpoincare.engine import (
+    augmented_series,
+    curve_poincare,
+    divisorial_poincare,
+    quotient_extract,
+    restrict_to_character,
+)
+from eqpoincare.jobs import load_job, parse_job
 from eqpoincare.powerseries import (
     DivisibilityError,
     PlanError,
@@ -23,6 +31,9 @@ from eqpoincare.powerseries import (
     series_eq_upto,
     substitute_and_rescale,
 )
+from eqpoincare.strata import curve_strata
+
+JOBS = Path(__file__).resolve().parent.parent / "jobs"
 
 
 def test_geometric_series():
@@ -409,6 +420,53 @@ def test_writers_match_the_dict_and_line_references(s):
     assert text == json.dumps(reference_dict(s), sort_keys=True)
     assert render_machine(s) == reference_dict(s)
     assert render_text(s) == reference_text(s)
+    assert parse_machine(json.loads(text)) == s
+
+
+@settings(max_examples=150)
+@given(expansions())
+def test_expanded_series_are_written_from_their_degree_buckets(args):
+    records, num_vars, bound, ring = args
+    # a factor and its inverse cancel, so some tables drop terms
+    records = records + [(m, l, -power, c) for m, l, power, c in records[:1]]
+    s = expand(records, num_vars, bound, ring)
+    if s._degrees is not None:
+        listed = [e for d, es in s._degrees.items() for e in es if sum(e) == d]
+        assert sorted(listed) == sorted(s.terms)
+    assert render_text(s) == reference_text(s)
+    assert dump_machine(s) == json.dumps(reference_dict(s), sort_keys=True)
+
+
+def shipped_series(case):
+    """The series the dense benchmark writes, from the shipped jobs."""
+    job = load_job(JOBS / "example1.json")
+    if case == "example1 divisorial 512":
+        return divisorial_poincare(job.model, 512)
+    if case == "example1 divisorial 512 at (1,)":
+        return restrict_to_character(divisorial_poincare(job.model, 512), (1,))
+    if case == "example1 curve 3000":
+        adjusted, _ = curve_strata(job.model, job.curve.removed_points)
+        return curve_poincare(job.model, job.curve.branches, adjusted, 3000)
+    doc = json.loads((JOBS / "example3.json").read_text())
+    doc["chosen"] = ["E0"]
+    del doc["extract"], doc["expected"]
+    return divisorial_poincare(parse_job(doc).model, 600)
+
+
+@pytest.mark.parametrize("case,size,multipart", [
+    ("example1 divisorial 512", 8385, 0),
+    ("example1 divisorial 512 at (1,)", None, 0),
+    ("example1 curve 3000", 3001, 0),
+    ("example3 star E0 600", 301, 300),
+])
+def test_writers_match_the_references_at_shipped_scale(case, size, multipart):
+    s = shipped_series(case)
+    assert size is None or len(s.terms) == size
+    if s.ring is not None:
+        assert sum(len(c.terms) > 1 for c in s.terms.values()) == multipart
+    assert render_text(s) == reference_text(s)
+    text = dump_machine(s)
+    assert text == json.dumps(reference_dict(s), sort_keys=True)
     assert parse_machine(json.loads(text)) == s
 
 
