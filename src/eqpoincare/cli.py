@@ -9,8 +9,8 @@ Subcommands operate on a job file (see the jobs module for the schema):
     eqpoincare check JOB --degree N
     eqpoincare explain JOB
 
-Exit codes: 0 success, 1 input or validation failure, 2 a comparison in
-``check`` found a difference.
+Exit codes: 0 success, 1 input or validation failure (running out of
+memory included), 2 a comparison in ``check`` found a difference.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ def _validation_lines(job: Job):
     resolved, as the product formula needs it, and the chi-weighted
     bookkeeping per component orbit is checked, for the divisor and, when
     a curve section is present, for the divisor with strict-transform
-    points removed.
+    points removed.  Unfaithful oracle weights get a line but do not fail.
     """
     lines = []
     ok = True
@@ -163,6 +163,8 @@ def _validation_lines(job: Job):
                 lines.append(f"strata: {e}")
     if ok:
         lines.append(f"strata: {len(job.model.strata)} strata, characters resolve")
+    if job.oracle is not None and job.oracle.unfaithful:
+        lines.append(f"oracle.weights: {job.oracle.unfaithful}")
     if job.orbits is None:
         lines.append("orbits: none declared, bookkeeping not checked")
         return lines, ok
@@ -345,6 +347,10 @@ def main(argv=None) -> int:
         return code
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError:  # validate and explain take no --degree
+        where = f"--degree {args.degree}: " if "degree" in args else ""
+        print(f"error: {where}out of memory", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # the reader closed stdout early; point it at devnull so that the

@@ -21,21 +21,22 @@ the characters.  No two series are ever multiplied.
 
 The dimension route starts from tables d^a(v) counting, for each
 character a, the function classes sitting at filtration position
-exactly v, and assembles the series by the inclusion-exclusion in the
-coordinate directions
+exactly v, and assembles the series as
 
-    n(v) = sum over e in {0,1}^s of (-1)^(s - |e|) d(v - e)
-    P(v) = - sum over k >= 0 of n(v - k * 1)
+    n = prod over j of (S_j - 1) d,     P(v) = P(v - 1) - n(v)
 
-with d read as stabilized below the -1 plane in every coordinate.  The
-assembled constant term must be 1 times the trivial character, which is
-the check that actually catches malformed tables.
+with S_j d(v) = d(v - e_j) and d read as stabilized below the -1 plane
+in every coordinate: s passes x(v) <- x(v - e_j) - x(v), one per axis,
+then a running sum along the diagonals.  The assembled constant term
+must be 1 times the trivial character, which is the check that actually
+catches malformed tables.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .charring import CharacterRing
@@ -161,30 +162,27 @@ class DimensionTable:
 
 def _single_character_series(table: DimensionTable, bound: int) -> dict:
     s = table.num_vars
-    box = table.box
-    eps = list(itertools.product((0, 1), repeat=s))
-    grid = list(itertools.product(range(-1, box + 1), repeat=s))
-    numerator = {}
-    for v in grid:
-        acc = 0
-        for e in eps:
-            sign = (-1) ** (s - sum(e))
-            acc += sign * table.value(tuple(x - y for x, y in zip(v, e)))
-        if acc:
-            numerator[v] = acc
+    size = table.box + 2  # coordinates -1..box
+    grid = list(itertools.product(range(-1, table.box + 1), repeat=s))  # lex order
+    x = [table.values.get(v, 0) for v in grid]
+    for _ in range(s):  # x <- (S_j - 1) x for each axis j
+        # x[k::size] holds the points with last coordinate k; writing them out
+        # in order of k moves that axis to the front, so s passes treat every
+        # axis once and end in the original order
+        cols = [x[k::size] for k in range(size)]
+        x = [0] * len(cols[0])  # the -1 plane: d is stabilized below it
+        for lower, col in zip(cols, cols[1:]):
+            x += map(operator.sub, lower, col)
+    diagonal = sum(size ** j for j in range(s))  # flat offset from v - 1 to v
     coeffs = {}
-    partial = {}
-    for v in grid:  # itertools.product yields in lex order, so v - 1 comes first
-        below = tuple(x - 1 for x in v)
-        prev = partial.get(below, 0) if min(below) >= -1 else 0
-        p = prev - numerator.get(v, 0)
-        partial[v] = p
+    for i, v in enumerate(grid):  # v - 1 comes first; x becomes P in place
         if min(v) < 0:
-            if p != 0:
+            if x[i]:
                 raise ConsistencyError(
                     f"series support leaks to {v}; the tables are not a filtration"
                 )
             continue
+        x[i] = p = x[i - diagonal] - x[i]
         if p and sum(v) <= bound:
             coeffs[v] = p
     return coeffs
@@ -197,39 +195,30 @@ def poincare_from_dimensions(tables, ring: CharacterRing | None, bound: int) -> 
     :class:`DimensionTable` (characters without a table contribute 0);
     for an integer series pass ``ring=None`` and a single table keyed by
     ``None``.  Every table box must reach at least bound + 1, otherwise
-    the inclusion-exclusion at the boundary would read unknown values.
+    the differences at the boundary would read unknown values.
     """
-    items = []
-    if ring is None:
-        if set(tables) != {None}:
-            raise ValueError("integer assembly expects exactly one table keyed None")
-        items.append((None, tables[None]))
-    else:
-        for alpha, table in tables.items():
-            items.append((ring.reduce(alpha), table))
-        if len({a for a, _ in items}) != len(items):
-            raise ValueError("two tables reduce to the same character")
-    num_vars = None
-    for alpha, table in items:
-        if num_vars is None:
-            num_vars = table.num_vars
-        elif table.num_vars != num_vars:
+    if ring is None and set(tables) != {None}:
+        raise ValueError("integer assembly expects exactly one table keyed None")
+    items = [(alpha if ring is None else ring.reduce(alpha), table)
+             for alpha, table in tables.items()]
+    if not items:
+        raise ValueError("no tables given")
+    if len({alpha for alpha, _ in items}) != len(items):
+        raise ValueError("two tables reduce to the same character")
+    num_vars = items[0][1].num_vars
+    for _, table in items:
+        if table.num_vars != num_vars:
             raise ValueError("tables disagree on the number of variables")
         if table.box < bound + 1:
             raise ValueError(
                 f"table box {table.box} too small for degree {bound}; "
                 f"need at least {bound + 1}"
             )
-    if num_vars is None:
-        raise ValueError("no tables given")
     terms: dict = {}
     for alpha, table in items:
-        coeffs = _single_character_series(table, bound)
-        for v, c in coeffs.items():
-            if ring is None:
-                terms[v] = terms.get(v, 0) + c
-            else:
-                terms[v] = terms.get(v, ring.zero()) + ring.monomial(alpha, c)
+        for v, c in _single_character_series(table, bound).items():
+            c = c if ring is None else ring.monomial(alpha, c)
+            terms[v] = terms[v] + c if v in terms else c
     series = Series(num_vars, bound, ring, terms)
     origin = (0,) * num_vars
     expected = 1 if ring is None else ring.one()

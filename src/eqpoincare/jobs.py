@@ -11,6 +11,7 @@ load time with messages naming the offending section.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
 
 from .charring import CharacterRing
@@ -350,13 +351,15 @@ def parse_job(data: dict, name: str = "job") -> Job:
         if len(weights) != 2:
             raise JobError("oracle.weights must be a pair")
         try:
-            oracle = MonomialModel(
-                _require(raw, "order", "oracle", int),
-                weights,
-                sigma_x=sigma_x,
-                sigma_y=sigma_y,
-                curve_axes=tuple(axes) if axes is not None else None,
-            )
+            with warnings.catch_warnings():  # validate and check print a line instead
+                warnings.simplefilter("ignore", RuntimeWarning)
+                oracle = MonomialModel(
+                    _require(raw, "order", "oracle", int),
+                    weights,
+                    sigma_x=sigma_x,
+                    sigma_y=sigma_y,
+                    curve_axes=tuple(axes) if axes is not None else None,
+                )
         except ValueError as e:
             raise JobError(f"oracle: {e}") from e
         if tuple(oracle.ring().orders) != ring.orders:

@@ -31,17 +31,17 @@ walk is O(D), one monomial at a time.
 
 The dimension route is kept as the reference the sum is tested
 against: :func:`oracle_tables` builds, per character, the table
-d(v) = number of monomials sitting at filtration position exactly v
-(weight componentwise >= v but not >= v + 1), which is the paper's
-definition through dim J(v)/J(v+1), and the engine's
+d(v) = dim J(v)/J(v+1) = C(v) - C(v + 1), with C(v) the number of
+monomials of weight componentwise >= v (the paper's definition read
+literally), and the engine's
 :func:`~eqpoincare.engine.poincare_from_dimensions` assembles the
-series from it.  Counting is organised per monomial: each monomial
-contributes 1 to exactly the box entries v <= w having v_j = w_j at
-some finite coordinate, so the tables walk that shell instead of
-rescanning the whole box for every entry.  Monomials with a + b beyond
-the box never intersect it (divisorial weights grow at least like
-a + b), and in the curve case every finite weight coordinate equals a
-or b, so enumerating a, b up to the box bound is exhaustive.
+series from it.  On the box {-1..degree + 1}^s, w_j >= v_j reads only
+min(w_j, top) with top = degree + 2, so the weights are clamped to top,
+counted per character on {-1..top}^s and summed from above, one axis at
+a time.  Enumerating a, b <= top suffices: every monomial beyond has all
+clamped coordinates at top (divisorial weights are at least a + b in
+every coordinate; in the curve case every finite coordinate is a or b),
+so it lies in both C(v) and C(v + 1) and cancels.
 """
 
 from __future__ import annotations
@@ -94,14 +94,16 @@ class MonomialModel:
                 if ax not in ("x=0", "y=0"):
                     raise OracleError(f"curve axis must be 'x=0' or 'y=0', got {ax!r}")
             object.__setattr__(self, "curve_axes", axes)
-        shared = math.gcd(math.gcd(k, l), self.order)
-        if shared != 1:
-            warnings.warn(
-                f"weights {self.weights} share the factor {shared} with the "
-                f"order {self.order}; the action is not faithful on monomials",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        if self.unfaithful:  # stacklevel 3 skips the generated __init__
+            warnings.warn(f"weights {self.unfaithful}", RuntimeWarning, stacklevel=3)
+
+    @property
+    def unfaithful(self) -> str | None:
+        """Why the action is not faithful on monomials, or None if it is."""
+        shared = math.gcd(*self.weights, self.order)
+        return None if shared == 1 else (
+            f"{self.weights} share the factor {shared} with the order "
+            f"{self.order}; the action is not faithful on monomials")
 
     def ring(self):
         return cyclic_character_ring(self.order)
@@ -165,52 +167,35 @@ def _valuation(mm: MonomialModel, model: StratumModel, mode: str):
     return valuation, s, ring
 
 
-def _shell(w, box):
-    """Box points v <= w with v_j = w_j at some finite coordinate,
-    each yielded exactly once (dedup by the first such coordinate)."""
-    s = len(w)
-    finite = [j for j in range(s) if w[j] is not INF]
-    pins = [j for j in finite if w[j] <= box]
-    finite_set = set(finite)
-    for idx, pin in enumerate(pins):
-        earlier = set(pins[:idx])
-        ranges = []
-        for i in range(s):
-            if i == pin:
-                ranges.append((w[i],))
-                continue
-            top = min(w[i], box) if i in finite_set else box
-            r = range(-1, top + 1)
-            if i in earlier:
-                ranges.append(tuple(x for x in r if x != w[i]))
-            else:
-                ranges.append(tuple(r))
-        yield from itertools.product(*ranges)
-
-
 def oracle_tables(mm: MonomialModel, model: StratumModel, degree: int,
-                  mode: str = "divisorial", per_character: bool = True) -> dict:
-    """Dimension tables on the box {-1..degree+1}^s.
-
-    Keyed by character exponent tuple, or by ``None`` for the single
-    whole-ring table when ``per_character`` is false.
-    """
+                  mode: str = "divisorial") -> dict:
+    """Dimension tables d(v) = C(v) - C(v + 1) on the box {-1..degree+1}^s,
+    keyed by character exponent tuple."""
     valuation, s, ring = _valuation(mm, model, mode)
     box = degree + 1
-    counts: dict = {}
-    for a in range(box + 2):
-        for b in range(box + 2):
-            w = valuation(a, b)
-            key = monomial_character(mm, a, b) if per_character else None
-            bucket = counts.setdefault(key, {})
-            for v in _shell(w, box):
-                bucket[v] = bucket.get(v, 0) + 1
-    if per_character:
-        return {
-            alpha: DimensionTable(s, box, counts.get(alpha, {}))
-            for alpha in ring.characters()
-        }
-    return {None: DimensionTable(s, box, counts.get(None, {}))}
+    top = box + 1  # w >= v on the box reads only min(w, top)
+    size = top + 2  # C lives on the flat lex grid {-1..top}^s
+    strides = [size ** (s - 1 - j) for j in range(s)]
+    counts = {alpha: [0] * size ** s for alpha in ring.characters()}
+    for a in range(top + 1):
+        for b in range(top + 1):
+            i = sum((min(x, top) + 1) * st for x, st in zip(valuation(a, b), strides))
+            counts[monomial_character(mm, a, b)][i] += 1
+    grid = itertools.product(range(-1, top + 1), repeat=s)
+    inner = [(i, v) for i, v in enumerate(grid) if top not in v]  # the box
+    step = sum(strides)  # flat offset from v to v + 1
+    tables = {}
+    for alpha, c in counts.items():
+        for _ in range(s):  # c(v) <- sum over u >= v, one axis per pass
+            # as in the engine's assembly, writing out the slices c[k::size]
+            # in order of k moves the last axis to the front
+            cols = [c[k::size] for k in range(size)]
+            for k in range(size - 2, -1, -1):
+                cols[k] = list(map(operator.add, cols[k], cols[k + 1]))
+            c = list(itertools.chain.from_iterable(cols))
+        tables[alpha] = DimensionTable(
+            s, box, {v: d for i, v in inner if (d := c[i] - c[i + step])})
+    return tables
 
 
 def oracle_poincare(mm: MonomialModel, model: StratumModel, degree: int,
@@ -249,5 +234,7 @@ def oracle_poincare(mm: MonomialModel, model: StratumModel, degree: int,
 def oracle_whole_series(mm: MonomialModel, model: StratumModel, degree: int,
                         mode: str = "divisorial") -> Series:
     """Non-equivariant series: all monomials counted together."""
-    tables = oracle_tables(mm, model, degree, mode=mode, per_character=False)
-    return poincare_from_dimensions(tables, None, degree)
+    tables = list(oracle_tables(mm, model, degree, mode=mode).values())
+    total = sum((Counter(table.values) for table in tables), Counter())
+    whole = DimensionTable(tables[0].num_vars, tables[0].box, dict(total))
+    return poincare_from_dimensions({None: whole}, None, degree)

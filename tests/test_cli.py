@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -158,6 +159,36 @@ def test_a_coefficient_past_the_digit_limit_is_a_degree_error(fmt, tmp_path, cap
     assert out == ""
     assert err == (f"error: --degree: a coefficient has over {sys.get_int_max_str_digits()} "
                    "digits, the interpreter's limit for writing an integer\n")
+
+
+def test_running_out_of_memory_is_a_degree_error(monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "divisorial_poincare", exhausted)
+    assert run("compute", JOBS / "single_blowup.json", "--degree", 10**8) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --degree {10**8}: out of memory\n"
+
+
+@pytest.mark.parametrize("command,code,err", [
+    ("validate", 0, ""),
+    # every monomial has the trivial character, so the count disagrees
+    ("check", 2, "check failed\n"),
+])
+def test_unfaithful_oracle_weights_are_a_line_not_a_warning(command, code, err,
+                                                            tmp_path, capsys):
+    path = write_variant(tmp_path, lambda d: d["oracle"].update(weights=[3, 3]))
+    argv = [] if command == "validate" else ["--degree", 4]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(command, path, *argv) == code
+    out = capsys.readouterr()
+    lines = [line for line in out.out.splitlines() if line.startswith("oracle.weights:")]
+    assert lines == ["oracle.weights: (3, 3) share the factor 3 with the order 3; "
+                     "the action is not faithful on monomials"]
+    assert out.err == err
 
 
 @pytest.mark.parametrize("name,degree", [

@@ -23,7 +23,6 @@ from eqpoincare.oracle import (
     INF,
     MonomialModel,
     OracleError,
-    _shell,
     _valuation,
     monomial_character,
     oracle_poincare,
@@ -59,22 +58,6 @@ def test_monomial_characters():
     assert monomial_character(trivial, 5, 7) == ()
 
 
-def test_shell_walks_each_point_once():
-    pts = list(_shell((2, 1), box=3))
-    assert len(set(pts)) == len(pts)
-    assert set(pts) == {
-        v
-        for v in [(i, j) for i in range(-1, 4) for j in range(-1, 4)]
-        if v[0] <= 2 and v[1] <= 1 and (v[0] == 2 or v[1] == 1)
-    }
-    # an infinite coordinate is never pinned but ranges over the box
-    pts = set(_shell((1, INF), box=2))
-    assert pts == {(1, j) for j in range(-1, 3)}
-    assert list(_shell((INF, INF), box=2)) == []
-    # weights entirely above the box contribute nothing
-    assert list(_shell((5, 7), box=3)) == []
-
-
 def test_divisorial_tables_hand_counts():
     mm = z3_monomials()
     model = three_chain_model()
@@ -104,6 +87,7 @@ def test_oracle_matches_engine_on_three_chain():
     ("example1", "divisorial", 6),
     ("example1", "curve", 12),
     ("example2_oracle", "divisorial", 4),
+    ("example2_oracle", "divisorial", 8),
     ("node_curve", "curve", 12),
     ("single_blowup", "divisorial", 20),
 ])
@@ -203,6 +187,12 @@ def test_unfaithful_weights_warn():
         MonomialModel(order=1, weights=(0, 0))
 
 
+def test_unfaithful_weights_warning_names_the_caller():
+    with pytest.warns(RuntimeWarning) as record:
+        MonomialModel(order=4, weights=(2, 2), sigma_x=1, sigma_y=1)
+    assert record[0].filename == __file__
+
+
 def triangle_monomials(mm, model, degree, mode="divisorial"):
     """The weight and character of every monomial with a + b <= degree
     whose valuations are all finite with total <= degree."""
@@ -226,12 +216,12 @@ def full_triangle_sum(mm, model, degree, mode="divisorial"):
 
 
 @st.composite
-def oracle_cases(draw):
+def oracle_cases(draw, max_order=12, max_degree=40):
     graph = random_blowup_graph(random.Random(draw(st.integers(0, 2**32))),
                                 draw(st.integers(0, 6)))
     component = st.sampled_from(graph.ids)
     chosen = draw(st.lists(component, min_size=1, max_size=3))
-    order = draw(st.integers(1, 12))  # a row can be shorter than the period
+    order = draw(st.integers(1, max_order))  # a row can be shorter than the period
     weights = (draw(st.integers(-20, 20)), draw(st.integers(-20, 20)))
     model = StratumModel(graph, cyclic_character_ring(order), chosen, ())
     if draw(st.booleans()):
@@ -244,7 +234,7 @@ def oracle_cases(draw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # unfaithful weights
         mm = MonomialModel(order, weights, **fields)
-    return mm, model, draw(st.integers(0, 40)), mode
+    return mm, model, draw(st.integers(0, max_degree)), mode
 
 
 @settings(max_examples=200, deadline=None)
@@ -258,6 +248,17 @@ def test_bounded_walk_equals_the_full_triangle(case):
     # each monomial is counted once
     counted = sum(x for c in got.terms.values() for x in c.terms.values())
     assert counted == sum(1 for _ in triangle_monomials(mm, model, degree, mode))
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_cases(max_order=6, max_degree=6))
+def test_dimension_route_equals_the_monomial_sum(case):
+    mm, model, degree, mode = case
+    summed = oracle_poincare(mm, model, degree, mode=mode)
+    tables = oracle_tables(mm, model, degree, mode=mode)
+    assert poincare_from_dimensions(tables, model.ring, degree) == summed
+    whole = oracle_whole_series(mm, model, degree, mode=mode)
+    assert whole == augmented_series(summed)
 
 
 def test_bounded_walk_on_single_blowup_at_100():
