@@ -14,10 +14,14 @@ components (curve case).  Strata with chi = 0 drop out, so their
 characters are never needed.  :func:`factors` lists them as records
 (m, l, -chi), sorted graded-lex on m, then on l, and
 :func:`eqpoincare.powerseries.expand` applies them one at a time to a
-table of plain ints keyed by exponent and character: dividing by
-(1 - u^l t^m) is one ascending pass ``out[v + m] += u^l out[v]`` in order
-of total degree, multiplying by it one descending pass, and u^l permutes
-the characters.  No two series are ever multiplied.
+table of plain ints keyed by exponent and character, u^l permuting the
+characters.  Every exponent of the table lies in the span of the weights
+applied so far, so a factor whose m leaves that span (the first always)
+writes the run v + k m of each term whole, in one pass: no two runs meet,
+nor a run and the table.  A factor inside the span divides by
+(1 - u^l t^m) in one ascending pass ``out[v + m] += u^l out[v]`` in order
+of total degree and multiplies by it in one descending pass (one binomial
+pass when |chi| outgrows the degrees).  No two series are ever multiplied.
 
 The dimension route starts from tables d^a(v) counting, for each
 character a, the function classes sitting at filtration position
@@ -177,11 +181,7 @@ def _single_character_series(table: DimensionTable, bound: int) -> dict:
     coeffs = {}
     for i, v in enumerate(grid):  # v - 1 comes first; x becomes P in place
         if min(v) < 0:
-            if x[i]:
-                raise ConsistencyError(
-                    f"series support leaks to {v}; the tables are not a filtration"
-                )
-            continue
+            continue  # the first pass wrote n = 0 on every -1 plane
         x[i] = p = x[i - diagonal] - x[i]
         if p and sum(v) <= bound:
             coeffs[v] = p

@@ -34,6 +34,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass
+from itertools import cycle, repeat
 from operator import add
 
 from .charring import CharacterRing, CharElement
@@ -259,19 +260,10 @@ def factor_power(coefficient, exponent, power: int, *, num_vars: int,
     allowed for power 0 (the factor is constant and the expansion would
     otherwise not be a power series in t).
     """
-    m = tuple(exponent)
-    if len(m) != num_vars:
-        raise ValueError(f"factor exponent {m} has wrong arity, expected {num_vars}")
-    if any(x < 0 for x in m):
-        raise ValueError(f"factor exponent {m} has a negative entry")
+    m = _factors([(exponent, None, power)], num_vars)[0][0]  # checked as expand checks
     step = sum(m)
     if step == 0:
-        if power == 0:
-            return Series.one(num_vars, bound, ring)
-        raise ValueError(
-            "factor with zero exponent vector and nonzero power is not a "
-            "power series in t"
-        )
+        return Series.one(num_vars, bound, ring)
     probe = Series.zero(num_vars, bound, ring)
     c = probe._accept_coeff(coefficient)
     terms: dict[Exponents, object] = {}
@@ -332,24 +324,39 @@ def _push(out, buckets, d, m, step, shift, c) -> bool:
     return True
 
 
-def _push_binomial(out, buckets, m, step, shift, c, power, bound):
+def _push_binomial(out, buckets, m, step, shift, c, apart, power, bound):
     """Multiply the table by (1 - c u^l t^m) ** power in one descending
     pass, ``out[v + k m] += b_k c^k u^(k l) out[v]`` for
     ``1 <= k <= (bound - deg v) // step``, and ``k <= power`` for a
     nonnegative power, u^l being ``shift`` and b_k from
     :func:`_binomials`.  Going down the degrees, every ``out[v]`` is read
-    before anything is added to it."""
+    before anything is added to it.  When ``apart``, m leaves the span of
+    the table, so no run v + k m meets another or the table: a source with
+    one character part writes its run whole, with no read-add, the run's
+    characters cycling along the orbit of u^l, walked at most the run's length."""
     coeffs = [b * c ** k for k, b in enumerate(_binomials(power, bound // step))]
     kmax = len(coeffs) - 1
-    for d in sorted(buckets, reverse=True):
-        if d + step > bound:
-            continue
+    for d in sorted([d for d in buckets if d + step <= bound], reverse=True):
+        top = min((bound - d) // step, kmax)
+        bs, runs = coeffs[1:top + 1], []
         for v in buckets[d]:
-            part = {ch: x for ch, x in out[v].items() if x}
+            vec = out[v]
+            if apart and len(vec) == 1:
+                (ch, x), = vec.items()
+                if x:
+                    orbit = [shift[ch]]
+                    while len(orbit) < top and orbit[-1] != ch:
+                        orbit.append(shift[orbit[-1]])
+                    run = list(zip(*[range(a + s, a + s * (top + 1), s) if s else repeat(a)
+                                     for a, s in zip(v, m)]))
+                    out.update(zip(run, [{h: y * x} for h, y in zip(cycle(orbit), bs)]))
+                    runs.append(run)
+                continue
+            part = {ch: x for ch, x in vec.items() if x}
             if not part:
                 continue
             w = v
-            for k in range(1, min((bound - d) // step, kmax) + 1):
+            for k in range(1, top + 1):
                 w = tuple(map(add, w, m))
                 part = {shift[ch]: x for ch, x in part.items()}
                 dst = out.get(w)
@@ -359,6 +366,44 @@ def _push_binomial(out, buckets, m, step, shift, c, power, bound):
                 b = coeffs[k]
                 for ch, x in part.items():
                     dst[ch] = dst.get(ch, 0) + b * x
+        for k, col in enumerate(zip(*runs), 1):
+            buckets.setdefault(d + k * step, []).extend(col)
+
+
+def _extends_span(basis: dict, m) -> bool:
+    """Whether ``m`` leaves the span of ``basis``, echelon rows keyed by pivot
+    column; if so, m joins them, reduced fraction-free as in ``integer_determinant``."""
+    for j in sorted(basis):
+        if m[j]:
+            r = basis[j]
+            m = [r[j] * x - m[j] * y for x, y in zip(m, r)]
+    for j, x in enumerate(m):
+        if x:
+            basis[j] = m
+            return True
+    return False
+
+
+def _factors(records, num_vars: int) -> list:
+    """The records, checked, as ``[m, l, c, power]``; a run of records with
+    equal (m, l, c) is one item, its powers added."""
+    factors = []
+    for m, l, power, *c in records:
+        m, c = tuple(m), c[0] if c else 1
+        if len(m) != num_vars:
+            raise ValueError(f"factor exponent {m} has wrong arity, expected {num_vars}")
+        if min(m, default=0) < 0:
+            raise ValueError(f"factor exponent {m} has a negative entry")
+        if not any(m) and power != 0:
+            raise ValueError(
+                "factor with zero exponent vector and nonzero power is not a "
+                "power series in t"
+            )
+        if factors and factors[-1][:3] == [m, l, c]:
+            factors[-1][3] += power
+        else:
+            factors.append([m, l, c, power])
+    return factors
 
 
 def expand(records, num_vars: int, bound: int,
@@ -368,23 +413,23 @@ def expand(records, num_vars: int, bound: int,
     ``records`` holds ``(m, l, power)`` or ``(m, l, power, c)`` items, c an
     integer (default 1) and l a character exponent tuple (ignored, and
     may be None, for an integer series; None means the trivial character
-    otherwise).  The product is built in place: each exponent holds plain
-    ints keyed by character, and multiplying by u^l is a fixed
-    permutation of the characters.  Dividing by (1 - c u^l t^m) is one
-    ascending pass ``out[v + m] += c u^l out[v]`` over the support in
-    order of total degree, multiplying by it one descending pass
-    ``out[v + m] -= c u^l out[v]``; a factor with power p takes |p|
-    passes.  The factor is instead one descending pass
-    ``out[v + k m] += b_k c^k u^(k l) out[v]`` with its binomial
-    coefficients b_k (:func:`_push_binomial`) in two cases: when |p|
-    exceeds ``bound // |m|``, so that the |p| passes would outnumber the
-    degrees they can reach and the work is then bounded by the degree,
-    not by |p|; and when the table is one term (the first factor, on the
-    origin) and |p| > 1, where the one pass takes ``bound // |m|`` steps
-    and the |p| passes |p| times as many.  Nothing divides by a coefficient,
-    so zero divisors in the ring are harmless.  The support is bucketed
-    by the total degrees that occur, so the work and memory follow the
-    terms, not the bound.
+    otherwise); adjacent records with equal (m, l, c) add their powers.
+    The product is built in place: each exponent holds plain ints keyed by
+    character, and multiplying by u^l is a fixed permutation of the
+    characters.  Every exponent of the table lies in the integer span of
+    the directions m applied so far, kept as echelon rows.  A factor whose
+    m leaves that span, the first one always, is one binomial pass
+    (:func:`_push_binomial`) in which each source v writes its run
+    ``v + k m`` whole: two runs that met, or a run that met the table,
+    would put a multiple of m in the span.  A factor whose m is in the span
+    takes that pass, with read-adds, when |p| > ``bound // |m|``, so the
+    work is bounded by the degree, not by |p|; else |p| passes: dividing
+    by (1 - c u^l t^m) is one ascending pass ``out[v + m] += c u^l out[v]``
+    over the support in order of total degree, multiplying by it one
+    descending pass ``out[v + m] -= c u^l out[v]``.  Nothing divides by a
+    coefficient, so zero divisors in the ring are harmless.  The support is
+    bucketed by the total degrees that occur, so the work and memory follow
+    the terms, not the bound.
 
     Every record's arity and sign are checked here and no pass writes
     beyond ``bound``, so with its zeros dropped the table meets the
@@ -395,22 +440,15 @@ def expand(records, num_vars: int, bound: int,
     trivial = () if ring is None else (0,) * ring.num_generators
     out = {origin: {trivial: 1}}
     buckets = {0: [origin]}
-    for m, l, power, *c in records:
-        m = tuple(m)
-        c = c[0] if c else 1
-        if len(m) != num_vars:
-            raise ValueError(f"factor exponent {m} has wrong arity, expected {num_vars}")
-        if any(x < 0 for x in m):
-            raise ValueError(f"factor exponent {m} has a negative entry")
+    basis = {}  # echelon rows (pivot column -> row) spanning the table
+    for m, l, c, power in _factors(records, num_vars):
         step = sum(m)
-        if step == 0 and power != 0:
-            raise ValueError(
-                "factor with zero exponent vector and nonzero power is not a "
-                "power series in t"
-            )
+        if not power or step > bound:
+            continue  # the factor is 1 through the bound
+        apart = len(basis) < num_vars and _extends_span(basis, m)
         shift = _CharShift(ring, l)
-        if step and (abs(power) > bound // step or len(out) == 1 < abs(power)):
-            _push_binomial(out, buckets, m, step, shift, c, power, bound)
+        if apart or abs(power) > bound // step:
+            _push_binomial(out, buckets, m, step, shift, c, apart, power, bound)
             continue
         for _ in range(abs(power)):
             if power > 0:

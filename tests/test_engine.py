@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eqpoincare.charring import CharacterRing
 from eqpoincare.engine import (
@@ -151,6 +152,29 @@ def test_dimension_pipeline_constant_term_check():
     table = DimensionTable(1, 4, {(2,): 1})
     with pytest.raises(ConsistencyError, match="constant term"):
         poincare_from_dimensions({None: table}, None, 3)
+
+
+@st.composite
+def dimension_tables(draw):
+    """Random tables: 1 to 3 variables, box 1 to 4, up to 12 entries
+    anywhere in the box, the -1 planes included."""
+    num_vars, box = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    point = st.tuples(*[st.integers(-1, box)] * num_vars)
+    return DimensionTable(num_vars, box, draw(
+        st.dictionaries(point, st.integers(0, 3), max_size=12)))
+
+
+@settings(max_examples=200)
+@given(dimension_tables())
+def test_random_tables_assemble_or_fail_on_the_constant_term(table):
+    # n is 0 on every -1 plane by construction, so the constant term is the
+    # one check a malformed table can fail
+    try:
+        p = poincare_from_dimensions({None: table}, None, table.box - 1)
+    except ConsistencyError as e:
+        assert "constant term" in str(e)
+    else:
+        assert p.coefficient((0,) * table.num_vars) == 1
 
 
 def test_dimension_pipeline_box_too_small():

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from eqpoincare.engine import (
     augmented_series,
     curve_poincare,
     divisorial_poincare,
+    plan_poincare,
     quotient_extract,
     restrict_to_character,
 )
@@ -437,6 +439,14 @@ def test_expanded_series_are_written_from_their_degree_buckets(args):
     assert dump_machine(s) == json.dumps(reference_dict(s), sort_keys=True)
 
 
+def star_model():
+    """example3 restricted to the one index E0."""
+    doc = json.loads((JOBS / "example3.json").read_text())
+    doc["chosen"] = ["E0"]
+    del doc["extract"], doc["expected"]
+    return parse_job(doc).model
+
+
 def shipped_series(case):
     """The series the dense benchmark writes, from the shipped jobs."""
     job = load_job(JOBS / "example1.json")
@@ -447,10 +457,7 @@ def shipped_series(case):
     if case == "example1 curve 3000":
         adjusted, _ = curve_strata(job.model, job.curve.removed_points)
         return curve_poincare(job.model, job.curve.branches, adjusted, 3000)
-    doc = json.loads((JOBS / "example3.json").read_text())
-    doc["chosen"] = ["E0"]
-    del doc["extract"], doc["expected"]
-    return divisorial_poincare(parse_job(doc).model, 600)
+    return divisorial_poincare(star_model(), 600)
 
 
 @pytest.mark.parametrize("case,size,multipart", [
@@ -565,3 +572,125 @@ def test_a_lone_first_factor_takes_one_pass(monkeypatch):
     # the second factor meets a full table and takes its two passes
     assert binomial == [-2]
     assert single and set(single) == {1}
+
+
+def parallel(a, b):
+    """Whether the vectors a and b are parallel: every 2 x 2 minor is 0."""
+    return all(a[i] * b[j] == a[j] * b[i] for i, j in combinations(range(len(a)), 2))
+
+
+@st.composite
+def run_expansions(draw):
+    """Arguments of :func:`expand` aimed at the whole-run pass, in 2 or 3
+    variables: a direction m1; a multiple of m1 with another character, so
+    the table's sources hold several character parts; a direction m2
+    outside the span of m1; the inverse of the first factor, which leaves
+    zeros in the table; and a steep factor with |p| > bound // |m|."""
+    num_vars = draw(st.integers(2, 3))
+    ring = draw(st.sampled_from([None, CharacterRing((3,)), CharacterRing((2, 2))]))
+    bound = draw(st.integers(2, 12))
+    exponent = st.tuples(*[st.integers(0, 3)] * num_vars).filter(any)
+    character = (st.just(None) if ring is None
+                 else st.tuples(*[st.integers(0, m - 1) for m in ring.orders]))
+    power = st.integers(-3, 3).filter(bool)
+    sign = st.sampled_from([1, -1])
+    m1 = draw(exponent)
+    m2 = draw(exponent.filter(lambda m: not parallel(m, m1)))
+    l1 = draw(character)
+    l2 = draw(character.filter(lambda l: ring is None or l != l1))
+    first = (m1, l1, draw(power), draw(sign))
+    records = [first, (tuple(2 * x for x in m1), l2, draw(power), draw(sign)),
+               (m2, draw(character), draw(power), draw(sign)),
+               (m1, l1, -first[2], first[3])]
+    steep = draw(exponent.filter(lambda m: sum(m) <= bound))
+    records.insert(draw(st.integers(0, len(records))), (
+        steep, draw(character), draw(st.sampled_from([-1, 1])) * (bound // sum(steep) + 1),
+        draw(sign)))
+    return records, num_vars, bound, ring
+
+
+@settings(max_examples=150)
+@given(run_expansions())
+def test_whole_runs_equal_the_fold(args):
+    records, num_vars, bound, ring = args
+    got = expand(records, num_vars, bound, ring)
+    want = fold(records, num_vars, bound, ring)
+    assert got.terms.keys() == want.terms.keys()
+    assert got == want
+
+
+def test_expand_walks_a_huge_ring_only_as_far_as_its_runs():
+    ring = CharacterRing((10**9,))
+    start = time.perf_counter()
+    s = expand([((1,), (1,), -1)], 1, 200, ring)
+    assert time.perf_counter() - start < 0.5
+    assert len(s.terms) == 201
+    assert all(c.terms == {(k,): 1} for (k,), c in s.terms.items())
+    start = time.perf_counter()
+    pair = expand([((1, 0), (1,), -1), ((0, 1), (2,), -1)], 2, 300, ring)
+    assert time.perf_counter() - start < 0.5
+    assert len(pair.terms) == 301 * 302 // 2
+    assert all(c.terms == {(a + 2 * b,): 1} for (a, b), c in pair.terms.items())
+
+
+def count_pass_calls(monkeypatch):
+    """The passes ``expand`` runs, in order: "binomial" or "push"."""
+    calls = []
+    monkeypatch.setattr(powerseries, "_push_binomial",
+                        lambda *args, push=powerseries._push_binomial:
+                        calls.append("binomial") or push(*args))
+    monkeypatch.setattr(powerseries, "_push",
+                        lambda *args, push=powerseries._push:
+                        calls.append("push") or push(*args))
+    return calls
+
+
+def test_independent_factors_take_no_per_degree_pass(monkeypatch):
+    # example1's two weights span a plane: each factor writes its runs whole
+    calls = count_pass_calls(monkeypatch)
+    divisorial_poincare(load_job(JOBS / "example1.json").model, 64)
+    assert calls == ["binomial", "binomial"]
+
+
+def test_the_star_takes_one_binomial_pass_then_its_per_degree_passes(monkeypatch):
+    # one variable: the first factor spans it, every later one is dependent
+    calls = count_pass_calls(monkeypatch)
+    divisorial_poincare(star_model(), 64)
+    assert calls[0] == "binomial"
+    assert len(calls) > 1 and set(calls[1:]) == {"push"}
+
+
+def test_adjacent_equal_factors_take_their_summed_power(monkeypatch):
+    # the first pair cancels and takes no pass; the second is one factor of
+    # power 1, the first applied, so one binomial pass
+    calls = count_pass_calls(monkeypatch)
+    records = [((1, 2), None, -3, 1), ((1, 2), None, 3, 1),
+               ((2, 1), None, 2, -1), ((2, 1), None, -1, -1)]
+    assert expand(records, 2, 12) == fold(records, 2, 12, None)
+    assert calls == ["binomial"]
+
+
+def adopted_series(case):
+    job = load_job(JOBS / "example1.json")
+    if case == "example1 divisorial 200":
+        return divisorial_poincare(job.model, 200)
+    if case == "star divisorial 300":
+        return divisorial_poincare(star_model(), 300)
+    if case == "example1 curve 1000":
+        adjusted, _ = curve_strata(job.model, job.curve.removed_points)
+        return curve_poincare(job.model, job.curve.branches, adjusted, 1000)
+    series, _ = plan_poincare(job.model, job.extract, 40)
+    return series
+
+
+@pytest.mark.parametrize("case", ["example1 divisorial 200", "star divisorial 300",
+                                  "example1 curve 1000", "example1 plan 40"])
+def test_expand_hands_the_writers_every_term_once_under_its_degree(case):
+    s = adopted_series(case)
+    assert s._degrees is not None
+    listed = [e for es in s._degrees.values() for e in es]
+    assert len(listed) == len(set(listed)) == len(s.terms)
+    assert set(listed) == set(s.terms)
+    assert all(sum(e) == d for d, es in s._degrees.items() for e in es)
+    assert render_text(s) == reference_text(s)
+    assert dump_machine(s) == json.dumps(reference_dict(s), sort_keys=True)
