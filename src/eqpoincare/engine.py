@@ -231,12 +231,13 @@ def poincare_from_dimensions(tables, ring: CharacterRing | None, bound: int) -> 
 
 
 def _integer_part(series: Series, part) -> Series:
-    """The integer series of ``part(c.terms)`` over the coefficients c of an
-    equivariant series; the nonzero ints are adopted as they come."""
+    """The integer series of ``part(parts)`` over the ``{character: int}``
+    parts of an equivariant series' table; the nonzero ints are adopted as
+    they come."""
     if series.ring is None:
         raise ValueError("series is already an integer series")
-    terms = {e: x for e, c in series.terms.items() if (x := part(c.terms))}
-    return Series._adopt(series.num_vars, series.bound, None, terms)
+    table = {e: x for e, parts in series._table.items() if (x := part(parts))}
+    return Series._adopt(series.num_vars, series.bound, None, table)
 
 
 def restrict_to_character(series: Series, alpha) -> Series:

@@ -3,17 +3,19 @@
 A :class:`Series` stores the coefficients of a power series in variables
 t_1, ..., t_s up to a fixed total degree bound.  Coefficients are either
 plain integers (``ring is None``) or elements of a
-:class:`~eqpoincare.charring.CharacterRing`.  Storage is a sparse dict
-``terms`` from exponent tuples to coefficients, and every series keeps
-one invariant: each key has ``num_vars`` nonnegative entries summing to
-at most ``bound``, and no coefficient is zero (an int is nonzero, a
-:class:`~eqpoincare.charring.CharElement` has nonempty, all-nonzero
-parts).  ``Series(...)`` checks this term by term, as it must for input
-from outside.  The package's own producers, :func:`expand` and
-:func:`substitute_and_rescale` here and the character projections in
-:mod:`eqpoincare.engine`, build tables that hold it by construction, so
-they drop their zeros and hand the dict over with :meth:`Series._adopt`,
-which neither copies nor checks it.
+:class:`~eqpoincare.charring.CharacterRing`.  Storage is a sparse table
+from exponent tuples to an int, or to an element's ``{character: int}``
+parts, and every table keeps one invariant: each key has ``num_vars``
+nonnegative entries summing to at most ``bound``, and no coefficient is
+zero (an int is nonzero, parts are nonempty, reduced and all nonzero).
+``Series(...)`` checks this term by term, as it must for input from
+outside, and keeps each element's parts.  The package's own producers,
+:func:`expand` and :func:`substitute_and_rescale` here and the character
+projections in :mod:`eqpoincare.engine`, build tables that hold it by
+construction and hand them over with :meth:`Series._adopt`, which neither
+copies nor checks them.  The writers, the comparison and the projections
+read the table; ``Series.terms``, exponents to ints or
+:class:`~eqpoincare.charring.CharElement` objects, is a view built on first read.
 
 Two series are considered equal when they agree on every exponent of
 total degree up to the smaller of the two bounds.  Binary operations
@@ -34,6 +36,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import cycle, repeat
 from operator import add
 
@@ -78,7 +81,7 @@ class Series:
         self.num_vars = num_vars
         self.bound = bound
         self.ring = ring
-        self.terms: dict[Exponents, object] = {}
+        self._table: dict[Exponents, object] = {}
         for exps, c in (terms or {}).items():
             exps = tuple(exps)
             if len(exps) != num_vars:
@@ -89,21 +92,29 @@ class Series:
                 raise ValueError(f"exponent {exps} beyond degree bound {bound}")
             c = self._accept_coeff(c)
             if not _is_zero_coeff(c):
-                self.terms[exps] = c
+                self._table[exps] = c if ring is None else c.terms
 
     @classmethod
     def _adopt(cls, num_vars: int, bound: int, ring: CharacterRing | None,
-               terms: dict, degrees: dict | None = None) -> "Series":
-        """A series that takes ``terms`` (and ``degrees``, each exponent once
+               table: dict, degrees: dict | None = None) -> "Series":
+        """A series that takes ``table`` (and ``degrees``, each exponent once
         under its total degree) as it is, neither copied nor checked.  The
         caller guarantees the invariant of the module docstring (right arity,
-        exponents >= 0 with sum <= ``bound``, no zero coefficient, a
-        ``CharElement`` of ``ring`` with nonempty, all-nonzero parts when
-        ``ring`` is set) and changes no term after."""
+        exponents >= 0 with sum <= ``bound``, no zero coefficient: a nonzero
+        int, or with ``ring`` set a nonempty ``{character: int}`` dict of
+        reduced characters and nonzero values) and changes no entry after."""
         series = cls.__new__(cls)
         series.num_vars, series.bound, series.ring = num_vars, bound, ring
-        series.terms, series._degrees = terms, degrees
+        series._table, series._degrees = table, degrees
         return series
+
+    @cached_property
+    def terms(self) -> dict:
+        """Exponents to coefficients: the table itself for an integer series,
+        else one ``CharElement`` per parts dict, built on first read."""
+        if self.ring is None:
+            return self._table
+        return {e: CharElement._of(self.ring, p) for e, p in self._table.items()}
 
     def _accept_coeff(self, c):
         if self.ring is None:
@@ -130,12 +141,15 @@ class Series:
             raise ValueError(f"exponent {exps} has wrong arity")
         if sum(exps) > self.bound:
             raise ValueError(f"coefficient at {exps} is beyond the bound {self.bound}")
-        return self.terms.get(exps, _zero_coeff(self.ring))
+        if self.ring is None:
+            return self._table.get(exps, 0)
+        return CharElement(self.ring, self._table.get(exps, {}))
 
     def items(self):
         """Terms in graded lexicographic order."""
-        for exps in sorted(self.terms, key=graded_lex_key):
-            yield exps, self.terms[exps]
+        terms = self.terms
+        for exps in _graded_lex_order(self):
+            yield exps, terms[exps]
 
     def truncate(self, bound: int) -> "Series":
         if bound > self.bound:
@@ -209,7 +223,7 @@ class Series:
     __hash__ = None
 
     def __repr__(self):
-        return f"Series({self.num_vars} vars, bound {self.bound}, {len(self.terms)} terms)"
+        return f"Series({self.num_vars} vars, bound {self.bound}, {len(self._table)} terms)"
 
 
 def series_eq_upto(a: Series, b: Series, degree: int):
@@ -233,15 +247,18 @@ def series_eq_upto(a: Series, b: Series, degree: int):
             f"comparison to degree {degree} exceeds a bound "
             f"({a.bound} and {b.bound}); result would be unverified"
         )
-    if a.bound == b.bound == degree and a.terms == b.terms:
+    ta, tb = a._table, b._table
+    if a.bound == b.bound == degree and ta == tb:
         return True, None
-    zero = _zero_coeff(a.ring)
-    keys = {e for e in a.terms if sum(e) <= degree}
-    keys |= {e for e in b.terms if sum(e) <= degree}
+    zero = 0 if a.ring is None else {}
+    keys = {e for e in ta if sum(e) <= degree}
+    keys |= {e for e in tb if sum(e) <= degree}
     for e in sorted(keys, key=graded_lex_key):
-        ca = a.terms.get(e, zero)
-        cb = b.terms.get(e, zero)
+        ca = ta.get(e, zero)
+        cb = tb.get(e, zero)
         if ca != cb:
+            if a.ring is not None:
+                ca, cb = CharElement._of(a.ring, ca), CharElement._of(a.ring, cb)
             return False, (e, ca, cb)
     return True, None
 
@@ -433,20 +450,25 @@ def expand(records, num_vars: int, bound: int,
 
     Every record's arity and sign are checked here and no pass writes
     beyond ``bound``, so with its zeros dropped the table meets the
-    ``terms`` invariant and is adopted, each character table uncopied, with
-    the degree buckets for the writers when no zero was dropped."""
+    series invariant and becomes the series' table, each character dict
+    uncopied, with the degree buckets for the writers when no zero was
+    dropped.  A record with c = 0 is the factor 1 and is skipped, so a pass
+    whose m leaves the span writes only fresh, nonzero parts b_k c^k x;
+    zeros are looked for only when another pass added into a written part."""
     _check_size(num_vars, bound)
     origin = (0,) * num_vars
     trivial = () if ring is None else (0,) * ring.num_generators
     out = {origin: {trivial: 1}}
     buckets = {0: [origin]}
     basis = {}  # echelon rows (pivot column -> row) spanning the table
+    added = False  # whether a pass added into a written part, which may cancel it
     for m, l, c, power in _factors(records, num_vars):
         step = sum(m)
-        if not power or step > bound:
+        if not power or not c or step > bound:
             continue  # the factor is 1 through the bound
         apart = len(basis) < num_vars and _extends_span(basis, m)
         shift = _CharShift(ring, l)
+        added = added or not apart
         if apart or abs(power) > bound // step:
             _push_binomial(out, buckets, m, step, shift, c, apart, power, bound)
             continue
@@ -465,16 +487,18 @@ def expand(records, num_vars: int, bound: int,
                     if _push(out, buckets, d, m, step, shift, c):
                         heapq.heappush(heap, d + step)
     if ring is None:
-        terms = {v: x for v, vec in out.items() if (x := vec.get((), 0))}
-    else:
-        terms = {}
+        table = {v: x for v, vec in out.items() if (x := vec.get((), 0))}
+    elif added:
+        table = {}
         for v, vec in out.items():
             if 0 in vec.values():
                 vec = {ch: x for ch, x in vec.items() if x}
             if vec:
-                terms[v] = CharElement._of(ring, vec)
-    return Series._adopt(num_vars, bound, ring, terms,
-                         buckets if len(terms) == len(out) else None)
+                table[v] = vec
+    else:
+        table = out
+    return Series._adopt(num_vars, bound, ring, table,
+                         buckets if len(table) == len(out) else None)
 
 
 @dataclass(frozen=True)
@@ -559,8 +583,9 @@ def substitute_and_rescale(series: Series, plan: SubstitutionPlan) -> Series:
             continue
         key = tuple(key)
         out[key] = out.get(key, zero) + c
-    terms = {k: c for k, c in out.items() if not _is_zero_coeff(c)}
-    return Series._adopt(t, out_bound, series.ring, terms)
+    table = {k: c if series.ring is None else c.terms
+             for k, c in out.items() if not _is_zero_coeff(c)}
+    return Series._adopt(t, out_bound, series.ring, table)
 
 
 def _graded_lex_order(series: Series) -> list:
@@ -569,7 +594,7 @@ def _graded_lex_order(series: Series) -> list:
     degrees = series._degrees
     if degrees is None:
         degrees = {}
-        for e in series.terms:
+        for e in series._table:
             degrees.setdefault(sum(e), []).append(e)
     order = []
     for d in sorted(degrees):
@@ -592,14 +617,14 @@ def render_text(series: Series) -> str:
     line ``c * u^(e) * t^(v)`` per character-basis component.  The text
     is one ``%``: the lines' templates, one built per character, over one
     flat list of each line's coefficient and exponents."""
-    terms = series.terms
+    terms = series._table
     tpart = "t^(" + ",".join(["%d"] * series.num_vars) + ")"
     order = _graded_lex_order(series)
     if series.ring is None:
         return "\n".join(["%d * " + tpart] * len(order)) % _integer_args(terms, order, []) or "0"
     line_of, lines, args = {}, [], []
     for e in order:
-        parts = terms[e].terms
+        parts = terms[e]
         for ch in parts if len(parts) == 1 else sorted(parts):
             line = line_of.get(ch)
             if line is None:
@@ -617,7 +642,7 @@ def dump_machine(series: Series) -> str:
     The whole document is one ``%`` of the header and the terms'
     templates, one per set of characters of a coefficient, over one flat
     list of the header's values and each term's parts, then exponents."""
-    terms = series.terms
+    terms = series._table
     exponent = '"exponent": [' + ", ".join(["%d"] * series.num_vars) + "]}"
     order = _graded_lex_order(series)
     head = '{"bound": %d, "num_vars": %d, "ring_orders": %s, "terms": ['
@@ -628,7 +653,7 @@ def dump_machine(series: Series) -> str:
     args = [series.bound, series.num_vars, "[" + ", ".join(map(str, series.ring.orders)) + "]"]
     item_of, items = {}, []
     for e in order:
-        parts = terms[e].terms
+        parts = terms[e]
         if len(parts) > 1:
             parts = dict(sorted(parts.items()))
         chars = (*parts,)

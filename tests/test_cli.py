@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 from eqpoincare import cli
+from eqpoincare.charring import CharElement
 from eqpoincare.engine import (
     curve_poincare,
     divisorial_poincare,
@@ -276,15 +277,26 @@ def test_product_route_multiplies_no_series(monkeypatch, tmp_path, capsys):
 
 def test_engine_series_are_adopted_without_a_per_term_check(monkeypatch, tmp_path, capsys):
     # expand and the character projections hand their tables to the
-    # series as built; Series.__init__ would check every coefficient again
-    calls = []
-    accept = Series._accept_coeff
+    # series as built; Series.__init__ would check every coefficient again,
+    # and the writers read the parts tables, so no CharElement is built
+    calls, built = [], []
+    accept, of, init = Series._accept_coeff, CharElement._of.__func__, CharElement.__init__
 
     def counted(self, c):
         calls.append(c)
         return accept(self, c)
 
+    def counted_of(cls, ring, parts):
+        built.append("_of")
+        return of(cls, ring, parts)
+
+    def counted_init(self, ring, terms):
+        built.append("__init__")
+        init(self, ring, terms)
+
     monkeypatch.setattr(Series, "_accept_coeff", counted)
+    monkeypatch.setattr(CharElement, "_of", classmethod(counted_of))
+    monkeypatch.setattr(CharElement, "__init__", counted_init)
     example1 = JOBS / "example1.json"
     for args in [
         ("compute", example1, "--degree", 128),
@@ -292,9 +304,20 @@ def test_engine_series_are_adopted_without_a_per_term_check(monkeypatch, tmp_pat
         ("compute", example1, "--degree", 128, "--character", 1),
         ("compute", example1, "--mode", "curve", "--degree", 1000),
         ("compute", star_job(tmp_path), "--degree", 600),
+        ("extract", JOBS / "example3.json", "--degree", 12),
     ]:
         assert run(*args) == 0
-    assert calls == []
+    assert calls == [] and built == []
+    # the monomial count builds its own elements; the engine's agreeing
+    # terms are compared as tables, none wrapped
+    assert run("check", example1, "--degree", 16) == 0
+    assert "_of" not in built
+    series = divisorial_poincare(load_job(example1).model, 16)
+    built.clear()
+    terms = series.terms  # the view builds one element per term
+    assert len(built) == len(terms) > 1
+    assert series.terms is terms and len(built) == len(terms)  # and only once
+    calls.clear()
     Series(1, 3, None, {(0,): 1})  # the counter sees a checked coefficient
     assert calls == [1]
 

@@ -256,7 +256,7 @@ def expansions(draw):
     character = (st.just(None) if ring is None
                  else st.tuples(*[st.integers(0, m - 1) for m in ring.orders]))
     records = draw(st.lists(
-        st.tuples(exponent, character, st.integers(-3, 3), st.sampled_from([1, -1])),
+        st.tuples(exponent, character, st.integers(-3, 3), st.sampled_from([1, -1, 0, 2])),
         max_size=4))
     return records, num_vars, bound, ring
 
