@@ -204,8 +204,7 @@ def _validation_lines(job: Job):
     return lines, ok
 
 
-def cmd_validate(args) -> int:
-    job = load_job(args.job)
+def cmd_validate(args, job: Job) -> int:
     lines, ok = _validation_lines(job)
     for line in lines:
         print(line)
@@ -216,10 +215,7 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def cmd_compute(args) -> int:
-    job = load_job(args.job)
-    if args.degree < 0:
-        raise JobError("--degree must be >= 0")
+def cmd_compute(args, job: Job) -> int:
     if args.mode == "curve":
         series = _curve_series(job, args.degree)
     else:
@@ -231,20 +227,14 @@ def cmd_compute(args) -> int:
     return 0
 
 
-def cmd_extract(args) -> int:
-    job = load_job(args.job)
-    if args.degree < 0:
-        raise JobError("--degree must be >= 0")
+def cmd_extract(args, job: Job) -> int:
     series = _extract_series(job, args.degree)
     _emit(series, args.format, args.output)
     return 0
 
 
-def cmd_check(args) -> int:
-    job = load_job(args.job)
+def cmd_check(args, job: Job) -> int:
     degree = args.degree
-    if degree < 0:
-        raise JobError("--degree must be >= 0")
     lines, ok = _validation_lines(job)
     for line in lines:
         print(line)
@@ -312,8 +302,7 @@ def cmd_check(args) -> int:
     return 0
 
 
-def cmd_explain(args) -> int:
-    job = load_job(args.job)
+def cmd_explain(args, job: Job) -> int:
     tables = [("divisorial", job.model.strata, job.model.chosen)]
     if job.curve is not None and job.curve.branches:
         adjusted, _ = curve_strata(job.model, job.curve.removed_points)
@@ -342,7 +331,10 @@ def main(argv=None) -> int:
         "explain": cmd_explain,
     }
     try:
-        code = handlers[args.command](args)
+        job = load_job(args.job)
+        if "degree" in args and args.degree < 0:
+            raise JobError("--degree must be >= 0")
+        code = handlers[args.command](args, job)
         sys.stdout.flush()
         return code
     except ValueError as e:

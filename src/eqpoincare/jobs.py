@@ -93,16 +93,6 @@ def _id_list(value, where):
 
 
 @dataclass(frozen=True)
-class ExpectedFactor:
-    """(1 - coefficient * u^character * t^exponent) ** power."""
-
-    exponent: tuple
-    power: int
-    character: tuple | None = None
-    coefficient: int = 1
-
-
-@dataclass(frozen=True)
 class CurveSpec:
     branches: tuple
     removed_points: tuple
@@ -122,7 +112,6 @@ class Job:
         """Expand the frozen factor list ``kind`` through ``degree``."""
         if kind not in self.expected:
             raise JobError(f"job {self.name!r} has no expected {kind!r} series")
-        factors = self.expected[kind]
         if kind == "extract":
             if self.extract is None:
                 raise JobError(f"job {self.name!r}: expected extract without a plan")
@@ -136,8 +125,7 @@ class Job:
         else:
             num_vars = len(self.model.chosen)
             ring = self.model.ring
-        records = [(f.exponent, f.character, f.power, f.coefficient) for f in factors]
-        return expand(records, num_vars, degree, ring)
+        return expand(self.expected[kind], num_vars, degree, ring)
 
 
 def _parse_strata(items, ring):
@@ -205,6 +193,7 @@ def _parse_plan(items, num_vars):
 
 
 def _parse_expected_factors(items, where, ring_q):
+    """The factors as ``expand`` records (exponent, character, power, coefficient)."""
     if not isinstance(items, list):
         raise JobError(f"{where}: expected a list of factors, got {items!r}")
     factors = []
@@ -230,7 +219,7 @@ def _parse_expected_factors(items, where, ring_q):
         coefficient = raw.get("coefficient", 1)
         if not _is_int(coefficient):
             raise JobError(f"{_at(here)}: coefficient must be an integer")
-        factors.append(ExpectedFactor(exponent, power, character, coefficient))
+        factors.append((exponent, character, power, coefficient))
     return tuple(factors)
 
 
@@ -376,8 +365,8 @@ def parse_job(data: dict, name: str = "job") -> Job:
             q = ring.num_generators if kind != "extract" else None
             expected[kind] = _parse_expected_factors(raw, f"expected.{kind}", q)
             if kind == "extract":
-                for f in expected[kind]:
-                    if f.character is not None:
+                for _, character, _, _ in expected[kind]:
+                    if character is not None:
                         raise JobError(
                             "expected.extract factors are integer series factors"
                         )
@@ -391,11 +380,11 @@ def parse_job(data: dict, name: str = "job") -> Job:
         "extract": extract.num_outputs if extract is not None else None,
     }
     for kind, factors in expected.items():
-        for i, f in enumerate(factors):
-            if len(f.exponent) != arity[kind]:
+        for i, (exponent, _, _, _) in enumerate(factors):
+            if len(exponent) != arity[kind]:
                 raise JobError(
-                    f"expected.{kind}[{i}]: exponent {f.exponent} has "
-                    f"{len(f.exponent)} entries, needs {arity[kind]}"
+                    f"expected.{kind}[{i}]: exponent {exponent} has "
+                    f"{len(exponent)} entries, needs {arity[kind]}"
                 )
 
     return Job(name=name, model=model, orbits=orbits, curve=curve,

@@ -15,19 +15,19 @@ chi(X) = chi(X^T); Campillo, Delgado and Gusein-Zade, Duke Math. J. 117,
 ``expand`` or the product formula, which is the point: the two routes
 are independent.
 
-The walk visits exactly the monomials it counts, each once.  Divisorial
-mode: w(a, b) = a*r_x + b*r_y with r_x = w(1, 0) and r_y = w(0, 1),
-every entry >= 1; writing |v| for the sum of the entries, the walk runs
-a through D // |r_x| and then b through (D - a*|r_x|) // |r_y|, stepping
-w by r_y.  Each row a is counted at once: its weights are one range per
-coordinate with step r_y (no step is 0), its characters repeat with
-period m, and one ``Counter.update`` over their flat ``w + character``
-keys counts every monomial of the row once, in C iterators instead of a
-Python loop per monomial.  Curve mode: a branch "x=0" has valuation b
-at a = 0 and infinity elsewhere, a branch "y=0" has a at b = 0, so only
-monomials on an axis can have all valuations finite; a = 0 is forced
-when some branch is "x=0", b = 0 when some branch is "y=0", and the
-walk is O(D), one monomial at a time.
+One walk visits exactly the monomials it counts, each once, in both
+modes.  The valuations are linear, w(a, b) = a*r_x + b*r_y with
+r_x = w(1, 0) and r_y = w(0, 1).  A curve branch "x=0" has valuation b
+at a = 0 and infinity elsewhere ("y=0" likewise with a and b swapped);
+the walk writes infinity, and any entry above D, as D + 1.  Every entry
+is then >= 1; writing |v| for the sum of the entries, the walk runs a
+through D // |r_x| and b through (D - a*|r_x|) // |r_y|, stepping w by
+r_y, so an entry D + 1 in r_x leaves only a = 0, in r_y only b = 0, and
+no counted weight holds one.  Each row a is counted at once: its weights
+are one range per coordinate, its characters repeat with period m, and
+one ``Counter.update`` over their flat ``w + character`` keys counts the
+row in C iterators.  Regrouped per weight, the counts are the series'
+table as it is: characters reduced, counts >= 1, weights summing to <= D.
 
 The dimension route is kept as the reference the sum is tested
 against: :func:`oracle_tables` builds, per character, the table
@@ -203,32 +203,23 @@ def oracle_poincare(mm: MonomialModel, model: StratumModel, degree: int,
     """Equivariant series through ``degree`` as the sum of
     u^chi(a,b) t^w(a,b) over the monomials with all valuations finite."""
     valuation, s, ring = _valuation(mm, model, mode)
+    cap = degree + 1  # infinity, and any entry above the degree
+    row_x = [min(x, cap) for x in valuation(1, 0)]
+    row_y = [min(y, cap) for y in valuation(0, 1)]
+    sx, sy = sum(row_x), sum(row_y)
     counts = Counter()  # w + character, flat -> number of monomials
-    if mode == "curve":
-        a_top = 0 if "x=0" in mm.curve_axes else degree
-        b_top = 0 if "y=0" in mm.curve_axes else degree
-        for a in range(a_top + 1):
-            for b in range(min(b_top, degree - a) + 1):
-                w = valuation(a, b)
-                if INF not in w and sum(w) <= degree:
-                    counts[w + monomial_character(mm, a, b)] += 1
-    else:
-        row_x, row_y = valuation(1, 0), valuation(0, 1)
-        sx, sy = sum(row_x), sum(row_y)
-        for a in range(degree // sx + 1):
-            # row a: the n monomials x^a y^b with |w(a, b)| <= degree.
-            # Every entry of row_y is a multiplicity, so at least 1, and
-            # no range has step 0; the characters repeat with period m.
-            n = (degree - a * sx) // sy + 1
-            weights = zip(*[range(x, x + n * y, y)
-                            for x, y in zip(valuation(a, 0), row_y)])
-            period = [monomial_character(mm, a, b) for b in range(min(n, mm.order))]
-            chars = itertools.islice(itertools.cycle(period), n)
-            counts.update(map(operator.add, weights, chars))
-    per_weight: dict = {}
+    for a in range(degree // sx + 1):
+        # row a: the n monomials x^a y^b with |w(a, b)| <= degree; every
+        # entry of row_y is at least 1, so no range has step 0
+        n = (degree - a * sx) // sy + 1
+        weights = zip(*[range(a * x, a * x + n * y, y) for x, y in zip(row_x, row_y)])
+        period = [monomial_character(mm, a, b) for b in range(min(n, mm.order))]
+        chars = itertools.islice(itertools.cycle(period), n)
+        counts.update(map(operator.add, weights, chars))
+    table: dict = {}
     for key, n in counts.items():
-        per_weight.setdefault(key[:s], {})[key[s:]] = n
-    return Series(s, degree, ring, {w: ring.element(per) for w, per in per_weight.items()})
+        table.setdefault(key[:s], {})[key[s:]] = n
+    return Series._adopt(s, degree, ring, table)
 
 
 def oracle_whole_series(mm: MonomialModel, model: StratumModel, degree: int,

@@ -15,7 +15,7 @@ component via the multiplicity matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .charring import CharacterRing
 from .resolution import MultiplicityMatrix, ResolutionGraph
@@ -295,13 +295,7 @@ def curve_strata(model: StratumModel, removed_orbits):
             )
         if ro.count < 0:
             raise StrataError("removed orbit count must be >= 0")
-        strata[idx] = Stratum(
-            carrier=st.carrier,
-            chi=st.chi - ro.count,
-            char_exponents=st.char_exponents,
-            derivation=st.derivation,
-            label=st.label,
-        )
+        strata[idx] = replace(st, chi=st.chi - ro.count)
         for c in set(st.carrier):
             removed_per_component[c] = (
                 removed_per_component.get(c, 0) + ro.count * st.carrier.count(c)

@@ -308,10 +308,11 @@ def test_engine_series_are_adopted_without_a_per_term_check(monkeypatch, tmp_pat
     ]:
         assert run(*args) == 0
     assert calls == [] and built == []
-    # the monomial count builds its own elements; the engine's agreeing
-    # terms are compared as tables, none wrapped
-    assert run("check", example1, "--degree", 16) == 0
-    assert "_of" not in built
+    # the monomial count adopts its table too, in both oracle modes; the
+    # agreeing terms are compared as tables, none wrapped
+    for name, degree in [("example1", 16), ("node_curve", 20), ("single_blowup", 60)]:
+        assert run("check", JOBS / f"{name}.json", "--degree", degree) == 0
+    assert calls == [] and built == []
     series = divisorial_poincare(load_job(example1).model, 16)
     built.clear()
     terms = series.terms  # the view builds one element per term
@@ -320,6 +321,22 @@ def test_engine_series_are_adopted_without_a_per_term_check(monkeypatch, tmp_pat
     calls.clear()
     Series(1, 3, None, {(0,): 1})  # the counter sees a checked coefficient
     assert calls == [1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", JOBS / "example1.json"),
+    ("extract", JOBS / "example3.json"),
+    ("check", JOBS / "example1.json"),
+    ("check", JOBS / "no_such_job.json"),
+])
+def test_negative_degree_is_an_input_error(argv, capsys):
+    assert run(*argv, "--degree", -1) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    if argv[1].exists():
+        assert err == "error: --degree must be >= 0\n"
+    else:  # the job is loaded first, so its file is what is reported
+        assert err.startswith(f"error: cannot read job file {argv[1]}")
 
 
 JOB_NAMES = sorted(p.stem for p in JOBS.glob("*.json"))
@@ -869,3 +886,39 @@ def test_shipped_output_bytes_are_frozen(case, capsys):
     assert run(*argv) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == OUTPUT_SHA256[case]
+
+
+# The stdout of each shipped job's report commands, `validate`, `explain`
+# and `check --degree 12`, as sha256 digests of the bytes written before the
+# monomial count became one walk for both oracle modes and the job load and
+# `--degree` check moved into `main`.  A case is "job command".
+REPORT_SHA256 = {
+    "example1 validate": "e6436ba62686ba773e7666c2c1244ddb0f1c888b4d4b5d5f0c36022465ec0468",
+    "example1 explain": "75ff7f4d1249e5f0a70c953dd6e4ff6dc42b73cc9a7e8f3df545fc1fbfa2bc57",
+    "example1 check": "38268811dc805e3ba0c7c44926fd159d50cd9d97cbb390edde422c19efc672ae",
+    "example2 validate": "28443daa35440cdedfdf26e39697185107a90887e2837fbd3a19bb6227fff40b",
+    "example2 explain": "898266a758688b220ee96efd8c8811554b4bf50213274d195b64e473bed8709c",
+    "example2 check": "28ba5fd4d8cdc2fe565dc5710e4dffae002a07aeedda81b504bd7f551e31d360",
+    "example2_oracle validate": "28443daa35440cdedfdf26e39697185107a90887e2837fbd3a19bb6227fff40b",
+    "example2_oracle explain": "0a9a4540592037cc7a1dadad2ab24d53f545381bdc93e1037ba70823e3ad1bd0",
+    "example2_oracle check": "831a76c0ca4d4de011a7a9a0e182366d80502e31099810b1f22e12f0e4c6c64c",
+    "example3 validate": "6fad5f7a565cd09f0ab2a34f2b76db13cb15c03a8140d274b2633d78409a3f05",
+    "example3 explain": "8aa5104220bfe200d5a85fe9f93e2e705c0134e7fef13033ba530adcdef21924",
+    "example3 check": "644562629319be1789ddaf33332e61216b487aa2f33677aacb24f97eedb166b1",
+    "node_curve validate": "22879c726d18c282eef7919f36562cfb1ec6e4764808cb87590c3fd0648231df",
+    "node_curve explain": "7898aa24e685e72a9819e9e545794d6e3ba8451b45ab8c24c6f3db7344bdeab0",
+    "node_curve check": "58400d4906ab3960d05076fe3e53e7cf48aa606471ea7b7235a3fdc475f31dfe",
+    "single_blowup validate": "b902784f8794c97e0fed30a1b3a5312294c03e7c4ac3177157174e64581abaa1",
+    "single_blowup explain": "8cb72e1b1dfa1da5789487efb67fc1d8f9aa6fab4ecf444ace66170cb54d37cf",
+    "single_blowup check": "7629ca782941a167c1c6b8ca50b272337c7944112bb80a01728ef16bf4987932",
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_SHA256))
+def test_shipped_report_bytes_are_frozen(case, capsys):
+    name, command = case.split()
+    argv = [command, JOBS / f"{name}.json"] + (["--degree", 12] if command == "check" else [])
+    assert run(*argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256[case]
