@@ -13,15 +13,8 @@ the chosen components (divisorial case) or at the branch attachment
 components (curve case).  Strata with chi = 0 drop out, so their
 characters are never needed.  :func:`factors` lists them as records
 (m, l, -chi), sorted graded-lex on m, then on l, and
-:func:`eqpoincare.powerseries.expand` applies them one at a time to a
-table of plain ints keyed by exponent and character, u^l permuting the
-characters.  Every exponent of the table lies in the span of the weights
-applied so far, so a factor whose m leaves that span (the first always)
-writes the run v + k m of each term whole, in one pass: no two runs meet,
-nor a run and the table.  A factor inside the span divides by
-(1 - u^l t^m) in one ascending pass ``out[v + m] += u^l out[v]`` in order
-of total degree and multiplies by it in one descending pass (one binomial
-pass when |chi| outgrows the degrees).  No two series are ever multiplied.
+:func:`eqpoincare.powerseries.expand` multiplies them out, one pass per
+factor (its docstring has the passes).  No two series are ever multiplied.
 
 The dimension route starts from tables d^a(v) counting, for each
 character a, the function classes sitting at filtration position
@@ -66,12 +59,6 @@ def factor_rows(model: StratumModel, strata, targets) -> list:
         if st.chi == 0:
             continue
         m = stratum_multiplicities(model, st, targets)
-        if sum(m) == 0:
-            where = f"stratum {st.label!r}" if st.label else f"stratum {st.carrier}"
-            raise EngineError(
-                f"{where}: zero weight vector with chi = {st.chi}; the factor "
-                "would not be a power series"
-            )
         rows.append((st, (m, resolve_character(model, st), -st.chi)))
     return sorted(rows, key=lambda row: (graded_lex_key(row[1][0]), row[1][1]))
 

@@ -26,7 +26,9 @@ from .strata import (
     OrbitDecl,
     RemovedPointOrbit,
     Stratum,
+    StrataError,
     StratumModel,
+    removed_point_stratum,
 )
 
 
@@ -295,13 +297,16 @@ def parse_job(data: dict, name: str = "job") -> Job:
         removed = []
         for i, r in enumerate(_optional(raw, "removed_points", "curve", list) or ()):
             where = ("curve.removed_points", i)
-            removed.append(
-                RemovedPointOrbit(
-                    _require(r, "stratum", where, (str, int)),
-                    _require(r, "count", where, int),
-                    _optional(r, "degree", where, int),
-                )
+            orbit = RemovedPointOrbit(
+                _require(r, "stratum", where, (str, int)),
+                _require(r, "count", where, int),
+                _optional(r, "degree", where, int),
             )
+            try:
+                removed_point_stratum(model.strata, orbit)
+            except StrataError as e:
+                raise JobError(f"{_at(where)}: {e}") from e
+            removed.append(orbit)
         curve = CurveSpec(tuple(branches), tuple(removed))
 
     extract = None

@@ -301,64 +301,58 @@ def _binomials(power: int, kmax: int) -> list[int]:
 
 
 class _CharShift(dict):
-    """Multiplication by u^l as a map on characters, filled in as they
+    """Multiplication by u^(k l) as a map on characters, filled in as they
     occur, so a large ring costs only the characters a series meets."""
 
-    def __init__(self, ring, l):
+    def __init__(self, ring, l, k=1):
         super().__init__()
-        self.ring, self.l = ring, l
+        self.ring, self.l, self.k = ring, l, k
 
     def __missing__(self, ch):
         if self.ring is None or self.l is None:
             to = ch
         else:
-            to = self.ring.reduce(tuple(map(add, ch, self.l)))
+            to = self.ring.reduce([a + self.k * b for a, b in zip(ch, self.l)])
         self[ch] = to
         return to
 
 
-def _push(out, buckets, d, m, step, shift, c) -> bool:
-    """Add c * u^l * t^m times the terms of total degree d into degree
-    d + step, u^l being ``shift``.  Returns whether that degree got its
-    first term."""
-    new = []
-    for v in buckets[d]:
-        w = tuple(map(add, v, m))
-        dst = out.get(w)
-        if dst is None:
-            dst = out[w] = {}
-            new.append(w)
-        for ch, x in out[v].items():
-            if x:
-                to = shift[ch]
-                dst[to] = dst.get(to, 0) + c * x
-    if not new:
-        return False
-    if d + step in buckets:
-        buckets[d + step].extend(new)
-        return False
-    buckets[d + step] = new
-    return True
-
-
-def _push_binomial(out, buckets, m, step, shift, c, apart, power, bound):
-    """Multiply the table by (1 - c u^l t^m) ** power in one descending
-    pass, ``out[v + k m] += b_k c^k u^(k l) out[v]`` for
-    ``1 <= k <= (bound - deg v) // step``, and ``k <= power`` for a
-    nonnegative power, u^l being ``shift`` and b_k from
-    :func:`_binomials`.  Going down the degrees, every ``out[v]`` is read
-    before anything is added to it.  When ``apart``, m leaves the span of
-    the table, so no run v + k m meets another or the table: a source with
-    one character part writes its run whole, with no read-add, the run's
-    characters cycling along the orbit of u^l, walked at most the run's length."""
-    coeffs = [b * c ** k for k, b in enumerate(_binomials(power, bound // step))]
+def _apply_factor(out, buckets, m, l, c, power, apart, bound, ring):
+    """Multiply the table by (1 - c u^l t^m) ** power in one pass over the
+    degrees that occur.  A product (power >= 0), or a factor whose m
+    leaves the span (``apart``), goes down the degrees,
+    ``out[v + k m] += b_k c^k u^(k l) out[v]`` with b_k from
+    :func:`_binomials`: every ``out[v]`` is read before anything is added
+    to it.  A quotient inside the span goes up them, the recurrence
+    ``out[v + k m] -= a_k c^k u^(k l) out[v]`` with a_k the coefficients of
+    (1 - x) ** |power|: every ``out[v]`` is whole before it is read, and a
+    degree the pass makes is queued.  In both, ``1 <= k <= (bound - deg v)
+    // |m|``, and k <= n for the coefficients of (1 - x) ** n, n >= 0.
+    When ``apart``, no run v + k m meets another or the table: a source
+    with one character part writes its run whole, with no read-add, the
+    run's characters cycling along the orbit of u^l, walked at most the
+    run's length."""
+    step = sum(m)
+    up = power < 0 and not apart
+    coeffs = [(-b if up else b) * c ** k
+              for k, b in enumerate(_binomials(-power if up else power, bound // step))]
     kmax = len(coeffs) - 1
-    for d in sorted([d for d in buckets if d + step <= bound], reverse=True):
-        top = min((bound - d) // step, kmax)
-        bs, runs = coeffs[1:top + 1], []
-        for v in buckets[d]:
-            vec = out[v]
-            if apart and len(vec) == 1:
+    shift = _CharShift(ring, l)
+    moves = [(m, step, coeffs[1], shift)]  # (k m, k |m|, coefficient, u^(k l)) for k = 1, 2, ...
+    heap = sorted([d for d in buckets if d + step <= bound])  # a sorted list is a heap
+    while heap:
+        d = heapq.heappop(heap) if up else heap.pop()  # up the degrees, or down them
+        top = (bound - d) // step
+        if top > kmax:
+            top = kmax
+        sources = buckets[d]
+        if apart:
+            sources, runs, bs = [], [], coeffs[1:top + 1]
+            for v in buckets[d]:
+                vec = out[v]
+                if len(vec) != 1:
+                    sources.append(v)
+                    continue
                 (ch, x), = vec.items()
                 if x:
                     orbit = [shift[ch]]
@@ -368,23 +362,30 @@ def _push_binomial(out, buckets, m, step, shift, c, apart, power, bound):
                                      for a, s in zip(v, m)]))
                     out.update(zip(run, [{h: y * x} for h, y in zip(cycle(orbit), bs)]))
                     runs.append(run)
+            for k, col in enumerate(zip(*runs), 1):
+                buckets.setdefault(d + k * step, []).extend(col)
+            if not sources:
                 continue
-            part = {ch: x for ch, x in vec.items() if x}
-            if not part:
-                continue
-            w = v
-            for k in range(1, top + 1):
-                w = tuple(map(add, w, m))
-                part = {shift[ch]: x for ch, x in part.items()}
+        while len(moves) < top:
+            k = len(moves) + 1
+            moves.append((tuple(k * x for x in m), k * step, coeffs[k], _CharShift(ring, l, k)))
+        for mk, dk, b, shift_k in moves if top == kmax else moves[:top]:
+            new = []
+            for v in sources:
+                w = tuple(map(add, v, mk))
                 dst = out.get(w)
                 if dst is None:
                     dst = out[w] = {}
-                    buckets.setdefault(d + k * step, []).append(w)
-                b = coeffs[k]
-                for ch, x in part.items():
-                    dst[ch] = dst.get(ch, 0) + b * x
-        for k, col in enumerate(zip(*runs), 1):
-            buckets.setdefault(d + k * step, []).extend(col)
+                    new.append(w)
+                for ch, x in out[v].items():
+                    if x:
+                        to = shift_k[ch]
+                        dst[to] = dst.get(to, 0) + b * x
+            if new:
+                e = d + dk
+                if up and e not in buckets and e + step <= bound:
+                    heapq.heappush(heap, e)
+                buckets.setdefault(e, []).extend(new)
 
 
 def _extends_span(basis: dict, m) -> bool:
@@ -433,17 +434,17 @@ def expand(records, num_vars: int, bound: int,
     otherwise); adjacent records with equal (m, l, c) add their powers.
     The product is built in place: each exponent holds plain ints keyed by
     character, and multiplying by u^l is a fixed permutation of the
-    characters.  Every exponent of the table lies in the integer span of
-    the directions m applied so far, kept as echelon rows.  A factor whose
-    m leaves that span, the first one always, is one binomial pass
-    (:func:`_push_binomial`) in which each source v writes its run
+    characters.  Each factor is one pass, :func:`_apply_factor`, over the
+    total degrees that occur, pushing each source v to ``v + k m`` with the
+    binomial coefficients of the factor.  A product goes down the degrees;
+    a quotient goes up them once, as the recurrence of multiplying back by
+    (1 - c u^l t^m) ** |p|, so k stops at |p| and at the bound and the work
+    follows the terms, never |p| alone.  Every exponent of the table lies
+    in the integer span of the directions m applied so far, kept as echelon
+    rows.  A factor whose m leaves that span, the first one always, goes
+    down the degrees whatever its sign, and each source v writes its run
     ``v + k m`` whole: two runs that met, or a run that met the table,
-    would put a multiple of m in the span.  A factor whose m is in the span
-    takes that pass, with read-adds, when |p| > ``bound // |m|``, so the
-    work is bounded by the degree, not by |p|; else |p| passes: dividing
-    by (1 - c u^l t^m) is one ascending pass ``out[v + m] += c u^l out[v]``
-    over the support in order of total degree, multiplying by it one
-    descending pass ``out[v + m] -= c u^l out[v]``.  Nothing divides by a
+    would put a multiple of m in the span.  Nothing divides by a
     coefficient, so zero divisors in the ring are harmless.  The support is
     bucketed by the total degrees that occur, so the work and memory follow
     the terms, not the bound.
@@ -467,25 +468,8 @@ def expand(records, num_vars: int, bound: int,
         if not power or not c or step > bound:
             continue  # the factor is 1 through the bound
         apart = len(basis) < num_vars and _extends_span(basis, m)
-        shift = _CharShift(ring, l)
         added = added or not apart
-        if apart or abs(power) > bound // step:
-            _push_binomial(out, buckets, m, step, shift, c, apart, power, bound)
-            continue
-        for _ in range(abs(power)):
-            if power > 0:
-                for d in sorted(buckets, reverse=True):
-                    if d + step <= bound:
-                        _push(out, buckets, d, m, step, shift, -c)
-            else:
-                heap = list(buckets)
-                heapq.heapify(heap)
-                while heap:
-                    d = heapq.heappop(heap)
-                    if d + step > bound:
-                        break  # every degree still queued is larger
-                    if _push(out, buckets, d, m, step, shift, c):
-                        heapq.heappush(heap, d + step)
+        _apply_factor(out, buckets, m, l, c, power, apart, bound, ring)
     if ring is None:
         table = {v: x for v, vec in out.items() if (x := vec.get((), 0))}
     elif added:

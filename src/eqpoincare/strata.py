@@ -264,15 +264,28 @@ class RemovedPointOrbit:
     degree: int | None = None
 
 
-def _find_stratum(strata, ref):
+def removed_point_stratum(strata, orbit: RemovedPointOrbit) -> int:
+    """The index in ``strata`` of the stratum ``orbit`` names, by label or
+    by position.  A :class:`StrataError` when it names none, or when the
+    orbit's count is negative or its degree is not the stratum's."""
+    ref = orbit.stratum
     if isinstance(ref, str):
         hits = [s for s in strata if s.label == ref]
         if len(hits) != 1:
-            raise StrataError(f"removed points: {len(hits)} strata labelled {ref!r}")
-        return strata.index(hits[0])
-    if isinstance(ref, int) and 0 <= ref < len(strata):
-        return ref
-    raise StrataError(f"removed points: no stratum {ref!r}")
+            raise StrataError(f"{len(hits)} strata labelled {ref!r}")
+        idx = strata.index(hits[0])
+    elif isinstance(ref, int) and 0 <= ref < len(strata):
+        idx = ref
+    else:
+        raise StrataError(f"no stratum {ref!r}")
+    if orbit.degree is not None and orbit.degree != strata[idx].degree:
+        raise StrataError(
+            f"degree {orbit.degree} does not match the covering degree "
+            f"{strata[idx].degree} of stratum {ref!r}"
+        )
+    if orbit.count < 0:
+        raise StrataError(f"count {orbit.count} must be >= 0")
+    return idx
 
 
 def curve_strata(model: StratumModel, removed_orbits):
@@ -281,20 +294,14 @@ def curve_strata(model: StratumModel, removed_orbits):
     Returns the adjusted strata (chi reduced by the removed quotient
     points; carriers and characters unchanged) together with the number
     of deleted preimage points per component, which feeds the curve-case
-    bookkeeping validation.
+    bookkeeping validation.  Each orbit goes through
+    :func:`removed_point_stratum`, as a job's orbits do at load.
     """
     strata = list(model.strata)
     removed_per_component: dict = {}
     for ro in removed_orbits:
-        idx = _find_stratum(strata, ro.stratum)
+        idx = removed_point_stratum(strata, ro)
         st = strata[idx]
-        if ro.degree is not None and ro.degree != st.degree:
-            raise StrataError(
-                f"removed orbit on stratum {ro.stratum!r}: degree {ro.degree} "
-                f"does not match the stratum covering degree {st.degree}"
-            )
-        if ro.count < 0:
-            raise StrataError("removed orbit count must be >= 0")
         strata[idx] = replace(st, chi=st.chi - ro.count)
         for c in set(st.carrier):
             removed_per_component[c] = (

@@ -81,6 +81,29 @@ def test_compute_character_arity_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_compute_character_that_is_not_an_integer_list(capsys):
+    assert run("compute", JOBS / "example1.json", "--degree", 5,
+               "--character", "1,x") == 1
+    assert capsys.readouterr().err == (
+        "error: --character '1,x' is not a comma separated integer list\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "compute", "extract", "explain"])
+@pytest.mark.parametrize("point,message", [
+    ({"stratum": 9}, "no stratum 9"),
+    ({"stratum": "nowhere"}, "0 strata labelled 'nowhere'"),
+    ({"count": -1}, "count -1 must be >= 0"),
+    ({"degree": 2}, "degree 2 does not match"),
+])
+def test_a_bad_removed_point_fails_at_load(command, point, message, tmp_path, capsys):
+    path = write_variant(tmp_path, lambda d: d["curve"]["removed_points"][0].update(point))
+    argv = ["--degree", 4] if command in ("compute", "extract") else []
+    assert run(command, path, *argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: curve.removed_points[0]: " + message), captured.err
+
+
 def test_compute_curve_needs_curve_section(capsys):
     assert run("compute", JOBS / "single_blowup.json", "--degree", 5,
                "--mode", "curve") == 1

@@ -5,10 +5,11 @@ from pathlib import Path
 import pytest
 
 from eqpoincare import cli
-from eqpoincare.engine import divisorial_poincare
+from eqpoincare.engine import curve_poincare, divisorial_poincare
 from eqpoincare.jobs import JobError, load_job, parse_job
 from eqpoincare.oracle import oracle_poincare
 from eqpoincare.powerseries import parse_machine, series_eq_upto
+from eqpoincare.strata import curve_strata
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
 
@@ -289,6 +290,15 @@ DELETE = object()
      "extract.plan[1]: variable 9 out of range 1..3"),
     (("expected", "divisorial", 0, "coefficient"), "1",
      "expected.divisorial[0]: coefficient must be an integer"),
+    (("curve", "removed_points", 0, "stratum"), 9,
+     "curve.removed_points[0]: no stratum 9"),
+    (("curve", "removed_points", 0, "stratum"), "nowhere",
+     "curve.removed_points[0]: 0 strata labelled 'nowhere'"),
+    (("curve", "removed_points", 0, "count"), -1,
+     "curve.removed_points[0]: count -1 must be >= 0"),
+    (("curve", "removed_points", 0, "degree"), 2,
+     "curve.removed_points[0]: degree 2 does not match the covering degree 1 "
+     "of stratum 'y-axis point'"),
 ])
 def test_error_messages_name_the_whole_field_path(path, value, message):
     doc = example1_doc()
@@ -302,3 +312,19 @@ def test_error_messages_name_the_whole_field_path(path, value, message):
     with pytest.raises(JobError) as err:
         parse_job(doc)
     assert str(err.value) == message
+
+
+def test_a_removed_point_named_by_index_is_the_one_named_by_label():
+    by_label = parse_job(example1_doc())
+    doc = example1_doc()
+    labels = [st.get("label") for st in doc["strata"]]
+    point = doc["curve"]["removed_points"][0]
+    point["stratum"] = labels.index(point["stratum"])
+    by_index = parse_job(doc)
+    assert by_index.curve.removed_points != by_label.curve.removed_points
+    series = [curve_poincare(job.model, job.curve.branches,
+                             curve_strata(job.model, job.curve.removed_points)[0], 30)
+              for job in (by_label, by_index)]
+    assert series[0] == series[1]
+    assert series[0] != curve_poincare(by_label.model, by_label.curve.branches,
+                                       by_label.model.strata, 30)

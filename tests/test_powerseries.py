@@ -1,8 +1,10 @@
+import heapq
 import json
 import math
 import time
 from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -249,7 +251,7 @@ def expansions(draw):
     num_vars = draw(st.integers(1, 3))
     ring = draw(st.sampled_from(
         [None, CharacterRing(()), CharacterRing((2,)), CharacterRing((3,)),
-         CharacterRing((2, 2))]))
+         CharacterRing((2, 2)), CharacterRing((2, 4)), CharacterRing((4, 3))]))
     bound = draw(st.integers(0, 8))
     # entries up to bound + 3, so some steps exceed the bound
     exponent = st.tuples(*[st.integers(0, bound + 3)] * num_vars).filter(any)
@@ -351,7 +353,8 @@ def test_expand_takes_a_huge_power_in_one_pass(power):
 @st.composite
 def steep_expansions(draw):
     """Like :func:`expansions`, with powers up to 12 and steps 1..3, so
-    that both the repeated passes and the one binomial pass run."""
+    that a pass pushes each source several steps, up or down the degrees,
+    and stops at |p| or at the bound."""
     records, num_vars, _, ring = draw(expansions())
     bound = draw(st.integers(0, 10))
     exponent = st.tuples(*[st.integers(0, 3)] * num_vars).filter(lambda m: 1 <= sum(m) <= 3)
@@ -559,19 +562,30 @@ def test_expand_a_lone_first_factor_equals_the_fold(power):
             assert got == want, (bound, m)
 
 
+def count_pass_calls(monkeypatch):
+    """The passes ``expand`` runs, in order, one ``(power, direction)`` per
+    call.  A pass up the degrees pops them from a heap, as it queues the
+    degrees it makes; a pass down takes them off the end of a sorted list."""
+    calls, pops = [], []
+    monkeypatch.setattr(powerseries, "heapq", SimpleNamespace(
+        heappush=heapq.heappush, heappop=lambda heap: pops.append(1) or heapq.heappop(heap)))
+
+    def counted(*args, apply=powerseries._apply_factor):
+        pops.clear()
+        apply(*args)
+        calls.append((args[5], "up" if pops else "down"))
+
+    monkeypatch.setattr(powerseries, "_apply_factor", counted)
+    return calls
+
+
 def test_a_lone_first_factor_takes_one_pass(monkeypatch):
-    binomial, single = [], []
-    monkeypatch.setattr(powerseries, "_push_binomial",
-                        lambda *args, push=powerseries._push_binomial:
-                        binomial.append(args[-2]) or push(*args))
-    monkeypatch.setattr(powerseries, "_push",
-                        lambda *args, push=powerseries._push:
-                        single.append(args[-1]) or push(*args))
+    calls = count_pass_calls(monkeypatch)
     records = [((1,), None, -2, 1), ((2,), None, -2, 1)]
     assert expand(records, 1, 100) == fold(records, 1, 100, None)
-    # the second factor meets a full table and takes its two passes
-    assert binomial == [-2]
-    assert single and set(single) == {1}
+    # the first factor writes its run down; the second meets a full table
+    # and takes one pass up, whatever its power
+    assert calls == [(-2, "down"), (-2, "up")]
 
 
 def parallel(a, b):
@@ -633,41 +647,41 @@ def test_expand_walks_a_huge_ring_only_as_far_as_its_runs():
     assert all(c.terms == {(a + 2 * b,): 1} for (a, b), c in pair.terms.items())
 
 
-def count_pass_calls(monkeypatch):
-    """The passes ``expand`` runs, in order: "binomial" or "push"."""
-    calls = []
-    monkeypatch.setattr(powerseries, "_push_binomial",
-                        lambda *args, push=powerseries._push_binomial:
-                        calls.append("binomial") or push(*args))
-    monkeypatch.setattr(powerseries, "_push",
-                        lambda *args, push=powerseries._push:
-                        calls.append("push") or push(*args))
-    return calls
-
-
-def test_independent_factors_take_no_per_degree_pass(monkeypatch):
+def test_independent_factors_each_take_one_pass_down(monkeypatch):
     # example1's two weights span a plane: each factor writes its runs whole
     calls = count_pass_calls(monkeypatch)
     divisorial_poincare(load_job(JOBS / "example1.json").model, 64)
-    assert calls == ["binomial", "binomial"]
+    assert calls == [(-1, "down"), (-1, "down")]
 
 
-def test_the_star_takes_one_binomial_pass_then_its_per_degree_passes(monkeypatch):
-    # one variable: the first factor spans it, every later one is dependent
+def test_the_star_takes_one_pass_per_factor(monkeypatch):
+    # one variable: the first factor spans it, every later one is dependent,
+    # its two quotients going up the degrees and its product down
     calls = count_pass_calls(monkeypatch)
     divisorial_poincare(star_model(), 64)
-    assert calls[0] == "binomial"
-    assert len(calls) > 1 and set(calls[1:]) == {"push"}
+    assert calls == [(-1, "down"), (-1, "up"), (-1, "up"), (1, "down")]
 
 
 def test_adjacent_equal_factors_take_their_summed_power(monkeypatch):
     # the first pair cancels and takes no pass; the second is one factor of
-    # power 1, the first applied, so one binomial pass
+    # power 1, the first applied, so one pass
     calls = count_pass_calls(monkeypatch)
     records = [((1, 2), None, -3, 1), ((1, 2), None, 3, 1),
                ((2, 1), None, 2, -1), ((2, 1), None, -1, -1)]
     assert expand(records, 2, 12) == fold(records, 2, 12, None)
-    assert calls == ["binomial"]
+    assert calls == [(1, "down")]
+
+
+def test_a_sparse_quotient_walks_only_the_degrees_that_occur():
+    # 1001 multiples of 10^5 below 10^8: a walk over every degree up to the
+    # bound would take seconds
+    start = time.perf_counter()
+    s = expand([((10**5,), None, -1), ((3 * 10**5,), None, -1)], 1, 10**8)
+    assert time.perf_counter() - start < 0.5
+    # the same series in units of 10^5
+    small = fold([((1,), None, -1, 1), ((3,), None, -1, 1)], 1, 1000, None)
+    assert s.terms == {(k * 10**5,): c for (k,), c in small.terms.items()}
+    assert len(s.terms) == 1001
 
 
 def adopted_series(case):
