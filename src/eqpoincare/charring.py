@@ -16,7 +16,7 @@ attempted: all downstream arithmetic uses sums and products only.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 CharExponents = tuple[int, ...]
 
@@ -25,25 +25,24 @@ class RingMismatchError(ValueError):
     """Raised when elements of two different character rings are combined."""
 
 
-@dataclass(frozen=True)
-class CharacterRing:
+class CharacterRing(namedtuple("CharacterRing", "orders")):
     """The ring Z[u_1..u_q]/(u_j^m_j - 1) for fixed cyclic orders m_j.
 
     ``orders`` may be empty, which gives the character ring of the
     trivial group: one basis monomial with exponent tuple ().
     """
 
-    orders: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.orders, tuple):
-            object.__setattr__(self, "orders", tuple(self.orders))
-        for m in self.orders:
+    def __new__(cls, orders: tuple[int, ...]):
+        orders = tuple(orders)
+        for m in orders:
             if not isinstance(m, int) or m < 2:
                 raise ValueError(
                     f"cyclic orders must be integers >= 2, got {m!r}; "
                     "use orders=() for the trivial group"
                 )
+        return super().__new__(cls, orders)
 
     @property
     def num_generators(self) -> int:

@@ -99,8 +99,11 @@ def _emit(series, fmt: str, output):
         raise JobError(f"--degree: a coefficient has over {sys.get_int_max_str_digits()} "
                        "digits, the interpreter's limit for writing an integer") from e
     if output:
-        with open(output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            raise JobError(f"--output {output}: {e.strerror}") from e
     else:
         print(text)
 
@@ -304,7 +307,7 @@ def cmd_check(args, job: Job) -> int:
 
 def cmd_explain(args, job: Job) -> int:
     tables = [("divisorial", job.model.strata, job.model.chosen)]
-    if job.curve is not None and job.curve.branches:
+    if job.curve is not None:
         adjusted, _ = curve_strata(job.model, job.curve.removed_points)
         tables.append(("curve", adjusted, [b.attach for b in job.curve.branches]))
     for kind, strata, targets in tables:

@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .charring import CharacterRing
 from .powerseries import Series, SubstitutionPlan, expand, graded_lex_key, substitute_and_rescale
@@ -117,33 +117,30 @@ def curve_poincare(model: StratumModel, branches, adjusted_strata, bound: int) -
     return expand(records, len(branches), bound, model.ring)
 
 
-@dataclass(frozen=True)
-class DimensionTable:
+class DimensionTable(namedtuple("DimensionTable", "num_vars box values")):
     """Values d(v) >= 0 on the box {-1, ..., box}^num_vars, stored
     sparsely with default 0.  Entries with a coordinate at -1 hold the
     stabilized value of d in that direction."""
 
-    num_vars: int
-    box: int
-    values: dict
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.num_vars < 1:
+    def __new__(cls, num_vars: int, box: int, values: dict):
+        if num_vars < 1:
             raise ValueError("dimension tables need at least one variable")
-        if self.box < 0:
+        if box < 0:
             raise ValueError("box bound must be >= 0")
         clean = {}
-        for v, d in self.values.items():
+        for v, d in values.items():
             v = tuple(v)
-            if len(v) != self.num_vars:
+            if len(v) != num_vars:
                 raise ValueError(f"entry {v} has wrong arity")
-            if any(x < -1 or x > self.box for x in v):
-                raise ValueError(f"entry {v} outside the box -1..{self.box}")
+            if any(x < -1 or x > box for x in v):
+                raise ValueError(f"entry {v} outside the box -1..{box}")
             if not isinstance(d, int) or d < 0:
                 raise ValueError(f"dimension at {v} is {d!r}, not a count")
             if d:
                 clean[v] = d
-        object.__setattr__(self, "values", clean)
+        return super().__new__(cls, num_vars, box, clean)
 
     def value(self, v) -> int:
         """d at v, with coordinates below -1 clamped to the stabilized plane."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .charring import CharacterRing
 from .oracle import MonomialModel
@@ -94,21 +94,21 @@ def _id_list(value, where):
     return tuple(value)
 
 
-@dataclass(frozen=True)
-class CurveSpec:
-    branches: tuple
-    removed_points: tuple
+class CurveSpec(namedtuple("CurveSpec", "branches removed_points")):
+    """The :class:`Branch` tuple ``branches`` and the
+    :class:`RemovedPointOrbit` tuple ``removed_points``."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Job:
-    name: str
-    model: StratumModel
-    orbits: tuple | None = None
-    curve: CurveSpec | None = None
-    extract: SubstitutionPlan | None = None
-    oracle: MonomialModel | None = None
-    expected: dict = field(default_factory=dict)
+class Job(namedtuple("Job", "name model orbits curve extract oracle expected")):
+    __slots__ = ()
+
+    def __new__(cls, name: str, model: StratumModel, orbits: tuple | None = None,
+                curve: CurveSpec | None = None, extract: SubstitutionPlan | None = None,
+                oracle: MonomialModel | None = None, expected: dict | None = None):
+        return super().__new__(cls, name, model, orbits, curve, extract, oracle,
+                               {} if expected is None else expected)
 
     def expected_series(self, kind: str, degree: int) -> Series:
         """Expand the frozen factor list ``kind`` through ``degree``."""
@@ -286,7 +286,10 @@ def parse_job(data: dict, name: str = "job") -> Job:
     raw = _optional(data, "curve", "job", dict)
     if raw is not None:
         branches = []
-        for i, b in enumerate(_require(raw, "branches", "curve", list)):
+        branches_raw = _require(raw, "branches", "curve", list)
+        if not branches_raw:
+            raise JobError("curve.branches: lists no branches; a curve has at least one")
+        for i, b in enumerate(branches_raw):
             attach = _component_id(_require(b, "attach", ("curve.branches", i)),
                                    ("curve.branches", i, ".attach"))
             if attach not in known:
@@ -326,9 +329,6 @@ def parse_job(data: dict, name: str = "job") -> Job:
                     f"oracle.curve_axes lists {len(axes)} axes for "
                     f"{len(curve.branches)} branches"
                 )
-            if not axes:
-                raise JobError("oracle.curve_axes: lists no axes; the curve count "
-                               "needs a branch")
         sigma_x = _optional(raw, "sigma_x", "oracle", (str, int))
         sigma_y = _optional(raw, "sigma_y", "oracle", (str, int))
         if (sigma_x is None) != (sigma_y is None):

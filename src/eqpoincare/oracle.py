@@ -50,8 +50,7 @@ import itertools
 import math
 import operator
 import warnings
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .charring import cyclic_character_ring
 from .engine import DimensionTable, poincare_from_dimensions
@@ -65,8 +64,8 @@ class OracleError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MonomialModel:
+class MonomialModel(namedtuple("MonomialModel",
+                               "order weights sigma_x sigma_y curve_axes")):
     """A cyclic diagonal action plus the attachment data of the axes.
 
     ``weights`` = (k, l): the generator multiplies x by the k-th and y
@@ -77,25 +76,22 @@ class MonomialModel:
     as the literal strings "x=0" and "y=0", in branch order.
     """
 
-    order: int
-    weights: tuple
-    sigma_x: object = None
-    sigma_y: object = None
-    curve_axes: tuple | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.order, int) or self.order < 1:
-            raise OracleError(f"group order must be a positive integer, got {self.order!r}")
-        k, l = self.weights
-        object.__setattr__(self, "weights", (int(k), int(l)))
-        if self.curve_axes is not None:
-            axes = tuple(self.curve_axes)
-            for ax in axes:
+    def __new__(cls, order: int, weights: tuple, sigma_x: object = None,
+                sigma_y: object = None, curve_axes: tuple | None = None):
+        if not isinstance(order, int) or order < 1:
+            raise OracleError(f"group order must be a positive integer, got {order!r}")
+        k, l = weights
+        if curve_axes is not None:
+            curve_axes = tuple(curve_axes)
+            for ax in curve_axes:
                 if ax not in ("x=0", "y=0"):
                     raise OracleError(f"curve axis must be 'x=0' or 'y=0', got {ax!r}")
-            object.__setattr__(self, "curve_axes", axes)
-        if self.unfaithful:  # stacklevel 3 skips the generated __init__
-            warnings.warn(f"weights {self.unfaithful}", RuntimeWarning, stacklevel=3)
+        self = super().__new__(cls, order, (int(k), int(l)), sigma_x, sigma_y, curve_axes)
+        if self.unfaithful:  # stacklevel 2 names the caller of MonomialModel(...)
+            warnings.warn(f"weights {self.unfaithful}", RuntimeWarning, stacklevel=2)
+        return self
 
     @property
     def unfaithful(self) -> str | None:

@@ -35,7 +35,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import cycle, repeat
 from operator import add
@@ -485,8 +485,7 @@ def expand(records, num_vars: int, bound: int,
                          buckets if len(table) == len(out) else None)
 
 
-@dataclass(frozen=True)
-class SubstitutionPlan:
+class SubstitutionPlan(namedtuple("SubstitutionPlan", "entries")):
     """How each input variable maps into the output variables.
 
     ``entries`` has one item per input variable: either ``None`` (the
@@ -497,11 +496,12 @@ class SubstitutionPlan:
     add up.
     """
 
-    entries: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, entries: tuple):
+        entries = tuple(entries)
         targets = []
-        for i, entry in enumerate(self.entries):
+        for i, entry in enumerate(entries):
             if entry is None:
                 continue
             out, den = entry
@@ -514,7 +514,7 @@ class SubstitutionPlan:
             raise PlanError(
                 "output indices must cover 0..k-1 with every output targeted"
             )
-        object.__setattr__(self, "entries", tuple(self.entries))
+        return super().__new__(cls, entries)
 
     @property
     def num_inputs(self) -> int:

@@ -25,7 +25,7 @@ composition has.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from operator import add
 
@@ -56,20 +56,16 @@ def integer_determinant(matrix: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class ResolutionGraph:
+class ResolutionGraph(namedtuple("ResolutionGraph", "components edges first_blown_up")):
     """Vertices with self-intersections, edges, and the first blown-up vertex.
 
     ``components`` is a tuple of (id, self_intersection) pairs; ids may
     be any hashable JSON-friendly values and fix the matrix ordering.
+    No ``__slots__``: :attr:`multiplicities` is cached in the instance dict.
     """
 
-    components: tuple
-    edges: tuple
-    first_blown_up: object
-
-    def __post_init__(self):
-        comps = tuple((cid, int(k)) for cid, k in self.components)
+    def __new__(cls, components: tuple, edges: tuple, first_blown_up: object):
+        comps = tuple((cid, int(k)) for cid, k in components)
         if not comps:
             raise GraphError("a resolution graph needs at least one component")
         ids = [cid for cid, _ in comps]
@@ -85,7 +81,7 @@ class ResolutionGraph:
         known = set(ids)
         seen = set()
         norm_edges = []
-        for edge in self.edges:
+        for edge in edges:
             a, b = edge
             if a not in known or b not in known:
                 raise GraphError(f"edge {edge!r} references an unknown component")
@@ -96,9 +92,9 @@ class ResolutionGraph:
                 raise GraphError(f"edge {edge!r} appears twice")
             seen.add(key)
             norm_edges.append((a, b))
-        if self.first_blown_up not in known:
+        if first_blown_up not in known:
             raise GraphError(
-                f"first blown-up component {self.first_blown_up!r} is not a vertex"
+                f"first blown-up component {first_blown_up!r} is not a vertex"
             )
         # connectivity: exceptional divisors of a single germ are connected
         reach = {ids[0]}
@@ -115,8 +111,7 @@ class ResolutionGraph:
         if reach != known:
             missing = sorted(known - reach, key=repr)
             raise GraphError(f"graph is not connected; unreachable: {missing}")
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "edges", tuple(norm_edges))
+        return super().__new__(cls, comps, tuple(norm_edges), first_blown_up)
 
     @property
     def ids(self) -> tuple:

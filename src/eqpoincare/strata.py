@@ -15,7 +15,7 @@ component via the multiplicity matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .charring import CharacterRing
 from .resolution import MultiplicityMatrix, ResolutionGraph
@@ -25,33 +25,28 @@ class StrataError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CharDerivation:
+class CharDerivation(namedtuple("CharDerivation", "p0_char_exponents p0_orbit_size")):
     """Character data at a reference point over the first blown-up component.
 
-    ``p0_char_exponents`` is the character scaling a curvelet at one
-    point p0 of the first exceptional component, ``p0_orbit_size`` the
-    size of the orbit of p0.
+    ``p0_char_exponents`` (a tuple) is the character scaling a curvelet
+    at one point p0 of the first exceptional component,
+    ``p0_orbit_size`` (an int) the size of the orbit of p0.
     """
 
-    p0_char_exponents: tuple
-    p0_orbit_size: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Stratum:
-    carrier: tuple
-    chi: int
-    char_exponents: tuple | None = None
-    derivation: CharDerivation | None = None
-    label: str | None = None
+class Stratum(namedtuple("Stratum", "carrier chi char_exponents derivation label")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "carrier", tuple(self.carrier))
-        if not self.carrier:
-            raise StrataError(f"stratum {self.label or ''!r} has an empty carrier")
-        if self.char_exponents is not None:
-            object.__setattr__(self, "char_exponents", tuple(self.char_exponents))
+    def __new__(cls, carrier: tuple, chi: int, char_exponents: tuple | None = None,
+                derivation: CharDerivation | None = None, label: str | None = None):
+        carrier = tuple(carrier)
+        if not carrier:
+            raise StrataError(f"stratum {label or ''!r} has an empty carrier")
+        if char_exponents is not None:
+            char_exponents = tuple(char_exponents)
+        return super().__new__(cls, carrier, chi, char_exponents, derivation, label)
 
     @property
     def degree(self) -> int:
@@ -66,24 +61,21 @@ def _where(stratum: Stratum) -> str:
     return f"stratum {stratum.carrier}"
 
 
-@dataclass(frozen=True)
-class StratumModel:
-    graph: ResolutionGraph
-    ring: CharacterRing
-    chosen: tuple
-    strata: tuple
+class StratumModel(namedtuple("StratumModel", "graph ring chosen strata")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "chosen", tuple(self.chosen))
-        object.__setattr__(self, "strata", tuple(self.strata))
-        known = set(self.graph.ids)
-        if not self.chosen:
+    def __new__(cls, graph: ResolutionGraph, ring: CharacterRing, chosen: tuple,
+                strata: tuple):
+        chosen = tuple(chosen)
+        strata = tuple(strata)
+        known = set(graph.ids)
+        if not chosen:
             raise StrataError("at least one chosen component is required")
-        for c in self.chosen:
+        for c in chosen:
             if c not in known:
                 raise StrataError(f"chosen component {c!r} is not in the graph")
-        q = self.ring.num_generators
-        for st in self.strata:
+        q = ring.num_generators
+        for st in strata:
             for c in st.carrier:
                 if c not in known:
                     raise StrataError(f"{_where(st)}: carrier component {c!r} unknown")
@@ -101,6 +93,7 @@ class StratumModel:
                     )
                 if d.p0_orbit_size < 1:
                     raise StrataError(f"{_where(st)}: orbit size must be positive")
+        return super().__new__(cls, graph, ring, chosen, strata)
 
     def multiplicities(self) -> MultiplicityMatrix:
         return self.graph.multiplicities
@@ -167,37 +160,38 @@ def resolve_character(model: StratumModel, stratum: Stratum) -> tuple:
     raise StrataError(f"{_where(stratum)}: no character given and nothing to derive it from")
 
 
-@dataclass(frozen=True)
-class OrbitDecl:
+class OrbitDecl(namedtuple("OrbitDecl", "components removed")):
     """One orbit of components with, per component, the number of points
     removed from it in the stratified space (intersections with other
     components, plus strict-transform points in the curve case)."""
 
-    components: tuple
-    removed: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        object.__setattr__(self, "removed", tuple(self.removed))
-        if len(self.components) != len(self.removed):
+    def __new__(cls, components: tuple, removed: tuple):
+        components = tuple(components)
+        removed = tuple(removed)
+        if len(components) != len(removed):
             raise StrataError("orbit: removed counts do not align with components")
+        return super().__new__(cls, components, removed)
 
 
-@dataclass
-class OrbitCheck:
-    components: tuple
-    euler_sum: int
-    expected: int
+class OrbitCheck(namedtuple("OrbitCheck", "components euler_sum expected")):
+    """``euler_sum`` (an int) is the chi-weighted covering degree of the
+    strata over the orbit ``components``; ``expected`` (an int) the Euler
+    characteristic of its punctured components."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.euler_sum == self.expected
 
 
-@dataclass
-class StrataReport:
-    checks: list
-    findings: list
+class StrataReport(namedtuple("StrataReport", "checks findings")):
+    """The :class:`OrbitCheck` list ``checks`` and the ``findings``, a
+    list of message strings."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -241,27 +235,25 @@ def validate_strata(model: StratumModel, orbits) -> StrataReport:
     return StrataReport(checks, findings)
 
 
-@dataclass(frozen=True)
-class Branch:
-    """One branch of the curve: the component its strict transform meets."""
+class Branch(namedtuple("Branch", "attach label", defaults=(None,))):
+    """One branch of the curve: the component ``attach`` its strict
+    transform meets, and an optional ``label`` (a str)."""
 
-    attach: object
-    label: str | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RemovedPointOrbit:
+class RemovedPointOrbit(namedtuple("RemovedPointOrbit", "stratum count degree",
+                                   defaults=(None,))):
     """An orbit of strict-transform points to delete from a stratum.
 
-    ``stratum`` names the stratum by label or by position; ``count`` is
-    the number of quotient points removed; ``degree``, when given, must
-    equal the stratum's covering degree (the points of one orbit lie
-    over the same carrier pattern as the stratum itself).
+    ``stratum`` names the stratum by label (a str) or by position (an
+    int); ``count`` (an int) is the number of quotient points removed;
+    ``degree`` (an int), when given, must equal the stratum's covering
+    degree (the points of one orbit lie over the same carrier pattern as
+    the stratum itself).
     """
 
-    stratum: object
-    count: int
-    degree: int | None = None
+    __slots__ = ()
 
 
 def removed_point_stratum(strata, orbit: RemovedPointOrbit) -> int:
@@ -302,7 +294,7 @@ def curve_strata(model: StratumModel, removed_orbits):
     for ro in removed_orbits:
         idx = removed_point_stratum(strata, ro)
         st = strata[idx]
-        strata[idx] = replace(st, chi=st.chi - ro.count)
+        strata[idx] = st._replace(chi=st.chi - ro.count)  # skips __new__; chi has no check
         for c in set(st.carrier):
             removed_per_component[c] = (
                 removed_per_component.get(c, 0) + ro.count * st.carrier.count(c)

@@ -104,6 +104,35 @@ def test_a_bad_removed_point_fails_at_load(command, point, message, tmp_path, ca
     assert captured.err.startswith("error: curve.removed_points[0]: " + message), captured.err
 
 
+def drop_the_branches(doc):
+    # the curve's oracle axes and expected factors go with its branches
+    doc["curve"]["branches"] = []
+    doc["oracle"].pop("curve_axes")
+    doc["expected"].pop("curve")
+
+
+@pytest.mark.parametrize("command", ["validate", "compute", "explain", "check"])
+def test_a_curve_without_branches_fails_at_load(command, tmp_path, capsys):
+    path = write_variant(tmp_path, drop_the_branches)
+    argv = ["--degree", 3] if command in ("compute", "check") else []
+    if command == "compute":
+        argv += ["--mode", "curve"]
+    assert run(command, path, *argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: curve.branches: lists no branches; a curve has at least one\n")
+
+
+@pytest.mark.parametrize("command", ["compute", "extract"])
+def test_an_unwritable_output_is_an_input_error(command, tmp_path, capsys):
+    out = tmp_path / "missing" / "series.txt"
+    assert run(command, JOBS / "example1.json", "--degree", 3, "--output", out) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --output {out}: No such file or directory\n"
+
+
 def test_compute_curve_needs_curve_section(capsys):
     assert run("compute", JOBS / "single_blowup.json", "--degree", 5,
                "--mode", "curve") == 1
@@ -533,7 +562,7 @@ def test_validate_rejects_wrong_first_blown_up(tmp_path, capsys):
     (lambda d: [d["oracle"].pop(k) for k in ("sigma_x", "sigma_y", "curve_axes")],
      "oracle: needs sigma_x and sigma_y, or curve_axes"),
     (lambda d: (d["curve"].update(branches=[]), d["oracle"].update(curve_axes=[])),
-     "oracle.curve_axes: lists no axes"),
+     "curve.branches: lists no branches"),
     (lambda d: d["expected"]["divisorial"][1].update(exponent=[1, -1, 2]),
      "expected.divisorial[1]: exponent (1, -1, 2) has a negative entry"),
     (lambda d: d["expected"]["extract"][0].update(exponent=[0, 0]),
