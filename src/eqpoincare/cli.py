@@ -33,14 +33,7 @@ from .oracle import oracle_poincare
 from .powerseries import DivisibilityError, dump_machine, render_text, series_eq_upto
 # the benchmark's tracer wraps cli.render_machine by name
 from .powerseries import render_machine  # noqa: F401
-from .strata import (
-    OrbitDecl,
-    StrataError,
-    StratumModel,
-    curve_strata,
-    resolve_character,
-    validate_strata,
-)
+from .strata import StrataError, curve_strata, resolve_character, validate_strata
 
 
 @functools.cache
@@ -126,7 +119,7 @@ def _parse_character(raw: str, ring):
 def _curve_series(job: Job, degree: int):
     if job.curve is None:
         raise JobError(f"job {job.name!r} has no curve section")
-    adjusted, _ = curve_strata(job.model, job.curve.removed_points)
+    adjusted = curve_strata(job.model, job.curve.removed_points)
     return curve_poincare(job.model, job.curve.branches, adjusted, degree)
 
 
@@ -148,7 +141,10 @@ def _validation_lines(job: Job):
     resolved, as the product formula needs it, and the chi-weighted
     bookkeeping per component orbit is checked, for the divisor and, when
     a curve section is present, for the divisor with strict-transform
-    points removed.  Unfaithful oracle weights get a line but do not fail.
+    points removed, whose orbits lose one point per branch attached.  A
+    curve check that fails where the divisor's holds names
+    ``curve.removed_points``.  Unfaithful oracle weights get a line but do
+    not fail.
     """
     lines = []
     ok = True
@@ -172,38 +168,26 @@ def _validation_lines(job: Job):
         lines.append("orbits: none declared, bookkeeping not checked")
         return lines, ok
 
-    def report(tag, model, orbits):
+    def report(tag, rep):
         nonlocal ok
-        rep = validate_strata(model, orbits)
-        for f in rep.findings:
-            ok = False
-            lines.append(f"{tag}: {f}")
+        lines.extend(f"{tag}: {f}" for f in rep.findings)
+        good = not rep.findings
         for c in rep.checks:
-            status = "ok" if c.ok else "MISMATCH"
+            good = good and c.ok
             lines.append(
                 f"{tag} orbit {list(c.components)}: chi sum {c.euler_sum}, "
-                f"expected {c.expected} [{status}]"
+                f"expected {c.expected} [{'ok' if c.ok else 'MISMATCH'}]"
             )
-            if not c.ok:
-                ok = False
+        ok = ok and good
+        return good
 
-    report("divisor", job.model, job.orbits)
+    divisor_ok = report("divisor", validate_strata(job.model, job.orbits))
     if job.curve is not None:
-        adjusted, removed_per_component = curve_strata(
-            job.model, job.curve.removed_points
-        )
-        curve_model = StratumModel(
-            job.model.graph, job.model.ring, job.model.chosen, adjusted
-        )
-        curve_orbits = [
-            OrbitDecl(
-                o.components,
-                tuple(r + removed_per_component.get(c, 0)
-                      for c, r in zip(o.components, o.removed)),
-            )
-            for o in job.orbits
-        ]
-        report("curve", curve_model, curve_orbits)
+        curve = job.model._replace(strata=curve_strata(job.model, job.curve.removed_points))
+        curve_ok = report("curve", validate_strata(curve, job.orbits, job.curve.branches))
+        if divisor_ok and not curve_ok:
+            lines.append("curve.removed_points: the points removed do not match "
+                         "the branches; each orbit loses one per branch attached")
     return lines, ok
 
 
@@ -308,7 +292,7 @@ def cmd_check(args, job: Job) -> int:
 def cmd_explain(args, job: Job) -> int:
     tables = [("divisorial", job.model.strata, job.model.chosen)]
     if job.curve is not None:
-        adjusted, _ = curve_strata(job.model, job.curve.removed_points)
+        adjusted = curve_strata(job.model, job.curve.removed_points)
         tables.append(("curve", adjusted, [b.attach for b in job.curve.branches]))
     for kind, strata, targets in tables:
         print(f"{kind} factors (1 - u^l t^m)^(-chi), t indexed by {list(targets)}:")

@@ -280,6 +280,13 @@ def parse_job(data: dict, name: str = "job") -> Job:
                 orbits.append(OrbitDecl(components, removed))
             except ValueError as e:
                 raise JobError(f"{_at(where)}: {e}") from e
+            if not known.issuperset(components):
+                raise JobError(f"orbits[{i}].components: {list(components)} names "
+                               "a component not in the graph")
+            valences = tuple(map(graph.valences.__getitem__, components))
+            if removed != valences:
+                raise JobError(f"orbits[{i}].removed: {list(removed)}, but the graph "
+                               f"gives valences {list(valences)} for {list(components)}")
         orbits = tuple(orbits)
 
     curve = None

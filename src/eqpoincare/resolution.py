@@ -15,19 +15,21 @@ neighbours of a component when it is contracted are the components its
 centre lies on.  The graph must be a tree, no neighbour may rise above
 -1, and the component contracted last must be ``first_blown_up``.
 
-The multiplicity matrix M = -(E o E)^(-1) is then read off the sequence
-in integer arithmetic: M[s, t] is the multiplicity of a curvelet
-transversal to component t along the divisorial valuation of component
-s.  When the blow-down fails the error also reports the determinant of
+The multiplicity matrix M = -(E o E)^(-1) is then solved over the
+sequence in integer arithmetic: M[s, t] is the multiplicity of a
+curvelet transversal to component t along the divisorial valuation of
+component s.  Column t takes O(n) additions and is solved when an entry
+of it is first read, so loading a job solves no column and a series
+solves one per component indexing it.  When the blow-down fails the error also reports the determinant of
 the intersection matrix if it is not (-1)^n, the value every blow-up
 composition has.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import cached_property
-from operator import add
+from itertools import chain
 
 
 class GraphError(ValueError):
@@ -61,7 +63,7 @@ class ResolutionGraph(namedtuple("ResolutionGraph", "components edges first_blow
 
     ``components`` is a tuple of (id, self_intersection) pairs; ids may
     be any hashable JSON-friendly values and fix the matrix ordering.
-    No ``__slots__``: :attr:`multiplicities` is cached in the instance dict.
+    No ``__slots__``: the cached properties live in the instance dict.
     """
 
     def __new__(cls, components: tuple, edges: tuple, first_blown_up: object):
@@ -113,9 +115,14 @@ class ResolutionGraph(namedtuple("ResolutionGraph", "components edges first_blow
             raise GraphError(f"graph is not connected; unreachable: {missing}")
         return super().__new__(cls, comps, tuple(norm_edges), first_blown_up)
 
-    @property
+    @cached_property
     def ids(self) -> tuple:
         return tuple(cid for cid, _ in self.components)
+
+    @cached_property
+    def valences(self) -> Counter:
+        """The number of edges at each component (0 for any other id)."""
+        return Counter(chain.from_iterable(self.edges))
 
     def intersection_matrix(self) -> list[list[int]]:
         """(E_s o E_t) in the component order of the graph."""
@@ -139,6 +146,12 @@ class ResolutionGraph(namedtuple("ResolutionGraph", "components edges first_blow
         satellite point).  Raises GraphError when the graph does not
         blow down to a smooth point.
         """
+        ids = self.ids
+        return tuple((ids[v], tuple(ids[c] for c in centre))
+                     for v, centre in reversed(self._blow_down()))
+
+    def _blow_down(self) -> list:
+        """:meth:`blowup_sequence` reversed, over indices into :attr:`ids`."""
         ids = self.ids
         n = len(ids)
         if len(self.edges) != n - 1:
@@ -184,20 +197,13 @@ class ResolutionGraph(namedtuple("ResolutionGraph", "components edges first_blow
                 f"graph does not blow down: no (-1)-component of valence <= 2 "
                 f"among the {len(left)} left, {left}"
             )
-        return tuple(
-            (ids[v], tuple(ids[c] for c in centre))
-            for v, centre in reversed(contracted)
-        )
+        return contracted
 
     def multiplicity_matrix(self) -> "MultiplicityMatrix":
-        """Build M from the blow-up sequence; O(n^2) integer additions.
-
-        M[j, t] for an earlier t is the sum of M[c, t] over the centre
-        components c of j, and M[j, j] is one more than the sum of
-        M[j, c] over those c.
-        """
+        """M over the blow-up sequence, no column solved yet; a GraphError
+        unless the graph blows down to ``first_blown_up``."""
         try:
-            sequence = self.blowup_sequence()
+            contracted = self._blow_down()
         except GraphError as e:
             n = len(self.components)
             det = integer_determinant(self.intersection_matrix())
@@ -208,28 +214,13 @@ class ResolutionGraph(namedtuple("ResolutionGraph", "components edges first_blow
                     "composition"
                 ) from None
             raise GraphError(f"{e}; not a blow-up composition") from None
-        root = sequence[0][0]
+        root = self.ids[contracted[-1][0]]
         if root != self.first_blown_up:
             raise GraphError(
                 f"first_blown_up is {self.first_blown_up!r} but the graph "
                 f"blows down to {root!r}"
             )
-        n = len(sequence)
-        position = {cid: j for j, (cid, _) in enumerate(sequence)}
-        m = [[0] * n for _ in range(n)]
-        for j, (_, centre) in enumerate(sequence):
-            cs = [position[c] for c in centre]
-            earlier = m[cs[0]][:j] if cs else []
-            if len(cs) == 2:
-                earlier = list(map(add, earlier, m[cs[1]][:j]))
-            m[j][:j] = earlier
-            for t, v in enumerate(earlier):
-                m[t][j] = v
-            m[j][j] = sum(earlier[c] for c in cs) + 1
-        order = [position[cid] for cid in self.ids]
-        return MultiplicityMatrix(
-            self.ids, [list(map(m[s].__getitem__, order)) for s in order]
-        )
+        return MultiplicityMatrix(self.ids, contracted)
 
     @cached_property
     def multiplicities(self) -> "MultiplicityMatrix":
@@ -238,22 +229,51 @@ class ResolutionGraph(namedtuple("ResolutionGraph", "components edges first_blow
 
 
 class MultiplicityMatrix:
-    """M = -(E o E)^(-1), indexed by component ids."""
+    """M = -(E o E)^(-1), indexed by component ids, solved by column.
 
-    def __init__(self, ids: tuple, rows: list[list[int]]):
+    E_i = E*_i - (sum of E*_j over the blow-ups j centred on E_i), with the
+    total transforms E*_j orthonormal of square -1, so E o E = -Q Q^T for
+    a unitriangular Q and M = Q^(-T) Q^(-1).  Column t takes two integer
+    passes over the sequence, each adding over at most two centres:
+    y = Q^(-1) e_t walking down from the last blow-up (zero until t), then
+    Q^(-T) y walking up.  Each column is solved when an entry of it is
+    first read, once per instance; :attr:`rows` solves all of them.
+    """
+
+    def __init__(self, ids: tuple, contracted: list):
+        """``contracted`` is :meth:`ResolutionGraph._blow_down` of the graph."""
         self.ids = tuple(ids)
         self._index = {cid: i for i, cid in enumerate(self.ids)}
-        self.rows = [list(r) for r in rows]
+        self._contracted = contracted
+        self._columns = {}
+
+    def _solve(self, t) -> list:
+        """Column t in the order of :attr:`ids`, stored for later reads."""
+        z = [0] * len(self.ids)
+        z[self._index[t]] = 1
+        for v, centre in self._contracted:  # y_v is final once the walk reaches v
+            for c in centre:
+                z[c] += z[v]
+        for v, centre in reversed(self._contracted):  # z_v = y_v + z over the centres
+            for c in centre:
+                z[v] += z[c]
+        self._columns[t] = z
+        return z
 
     def entry(self, a, b) -> int:
-        return self.rows[self._index[a]][self._index[b]]
+        return (self._columns.get(b) or self._solve(b))[self._index[a]]
 
     def row(self, a, targets=None) -> tuple:
-        """Row at component ``a``, restricted to ``targets`` if given."""
-        r = self.rows[self._index[a]]
+        """Row at component ``a``, restricted to ``targets`` if given.
+
+        Reads one column per target; the whole row is column ``a``."""
         if targets is None:
-            return tuple(r)
-        return tuple(r[self._index[t]] for t in targets)
+            return tuple(self._columns.get(a) or self._solve(a))
+        return tuple(self.entry(a, t) for t in targets)
+
+    @cached_property
+    def rows(self) -> list[list[int]]:
+        return [list(self.row(a)) for a in self.ids]
 
     def __repr__(self):
         return f"MultiplicityMatrix({len(self.ids)} components)"

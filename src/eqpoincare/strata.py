@@ -162,8 +162,8 @@ def resolve_character(model: StratumModel, stratum: Stratum) -> tuple:
 
 class OrbitDecl(namedtuple("OrbitDecl", "components removed")):
     """One orbit of components with, per component, the number of points
-    removed from it in the stratified space (intersections with other
-    components, plus strict-transform points in the curve case)."""
+    where it meets the others: its valence, which a job's orbits must
+    restate at load."""
 
     __slots__ = ()
 
@@ -198,12 +198,13 @@ class StrataReport(namedtuple("StrataReport", "checks findings")):
         return not self.findings and all(c.ok for c in self.checks)
 
 
-def validate_strata(model: StratumModel, orbits) -> StrataReport:
+def validate_strata(model: StratumModel, orbits, branches=()) -> StrataReport:
     """Bookkeeping check: within each component orbit the chi-weighted
     covering degrees of its strata must add up to the Euler
-    characteristic of the orbit's punctured components, sum of
-    (2 - removed points) over the orbit.  Report-valued; never raises
-    for a mere mismatch."""
+    characteristic of the orbit's punctured components, the sum of
+    2 - valence(c) - (the ``branches`` attached at c) over the orbit.
+    Pass a curve's branches with the strata :func:`curve_strata` gives.
+    Report-valued; never raises for a mere mismatch."""
     orbits = list(orbits)
     findings: list[str] = []
     orbit_of = {}
@@ -228,9 +229,12 @@ def validate_strata(model: StratumModel, orbits) -> StrataReport:
             findings.append(f"{_where(st)}: carrier spans several component orbits")
             continue
         sums[touched.pop()] += st.chi * st.degree
+    lost = dict(model.graph.valences)
+    for b in branches:
+        lost[b.attach] = lost.get(b.attach, 0) + 1
     checks = []
     for i, orbit in enumerate(orbits):
-        expected = sum(2 - r for r in orbit.removed)
+        expected = sum(2 - lost.get(c, 0) for c in orbit.components)
         checks.append(OrbitCheck(orbit.components, sums[i], expected))
     return StrataReport(checks, findings)
 
@@ -283,20 +287,13 @@ def removed_point_stratum(strata, orbit: RemovedPointOrbit) -> int:
 def curve_strata(model: StratumModel, removed_orbits):
     """Strata of the divisor with the strict-transform points deleted.
 
-    Returns the adjusted strata (chi reduced by the removed quotient
-    points; carriers and characters unchanged) together with the number
-    of deleted preimage points per component, which feeds the curve-case
-    bookkeeping validation.  Each orbit goes through
+    Returns the adjusted strata: chi reduced by the removed quotient
+    points, carriers and characters unchanged.  Each orbit goes through
     :func:`removed_point_stratum`, as a job's orbits do at load.
     """
     strata = list(model.strata)
-    removed_per_component: dict = {}
     for ro in removed_orbits:
         idx = removed_point_stratum(strata, ro)
         st = strata[idx]
         strata[idx] = st._replace(chi=st.chi - ro.count)  # skips __new__; chi has no check
-        for c in set(st.carrier):
-            removed_per_component[c] = (
-                removed_per_component.get(c, 0) + ro.count * st.carrier.count(c)
-            )
-    return tuple(strata), removed_per_component
+    return tuple(strata)

@@ -205,7 +205,7 @@ def test_criterion_6_single_blowup(capsys):
 def test_criterion_7_curve_fixtures(capsys):
     job = load_job(JOBS / "example1.json")
     ring = job.model.ring
-    adjusted, _ = curve_strata(job.model, job.curve.removed_points)
+    adjusted = curve_strata(job.model, job.curve.removed_points)
     engine = curve_poincare(job.model, job.curve.branches, adjusted, 10)
     oracle = oracle_poincare(job.oracle, job.model, 10, mode="curve")
     want = expand([(ring.monomial((1,)), (1,), -1)], 1, 10, ring)
@@ -213,7 +213,7 @@ def test_criterion_7_curve_fixtures(capsys):
     axis_oracle, d2 = eq(oracle, want, 10)
 
     node = load_job(JOBS / "node_curve.json")
-    node_adjusted, _ = curve_strata(node.model, node.curve.removed_points)
+    node_adjusted = curve_strata(node.model, node.curve.removed_points)
     node_engine = curve_poincare(node.model, node.curve.branches, node_adjusted, 10)
     node_oracle = oracle_poincare(node.oracle, node.model, 10, mode="curve")
     one = Series.one(2, 10, node.model.ring)

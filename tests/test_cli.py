@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -26,6 +27,8 @@ from eqpoincare.engine import (
 )
 from eqpoincare.jobs import load_job
 from eqpoincare.powerseries import Series, parse_machine, render_machine, series_eq_upto
+from eqpoincare.resolution import MultiplicityMatrix
+from blowup import random_blowup_graph
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
 SRC = JOBS.parent / "src"
@@ -468,6 +471,49 @@ def test_negative_control_chi(tmp_path, capsys):
     assert "MISMATCH" in out.out
     # check refuses to compare on top of a failed validation
     assert run("check", path, "--degree", 6) == 1
+
+
+@pytest.mark.parametrize("perturb", [
+    lambda d: d["curve"]["removed_points"][0].update(stratum="x-axis point"),
+    lambda d: d["curve"].update(removed_points=[]),
+], ids=["point off the branch", "no point removed"])
+def test_curve_bookkeeping_names_the_removed_points(perturb, tmp_path, capsys):
+    # the divisor check holds; the curve check fails on orbit [3], where
+    # the branch attaches and one point must go
+    path = write_variant(tmp_path, perturb)
+    assert run("validate", path) == 1
+    out = capsys.readouterr().out
+    assert "curve orbit [3]: chi sum 1, expected 0 [MISMATCH]" in out
+    assert "\ncurve.removed_points: " in out
+    assert "divisor orbit [3]: chi sum 1, expected 1 [ok]" in out
+    assert run("check", path, "--degree", 6) == 1
+
+
+def test_columns_are_solved_once_per_chosen_component(tmp_path, monkeypatch, capsys):
+    solved = []
+    solve = MultiplicityMatrix._solve
+    monkeypatch.setattr(MultiplicityMatrix, "_solve",
+                        lambda m, t: solved.append(t) or solve(m, t))
+    g = random_blowup_graph(random.Random(33), 11)
+    doc = {
+        "ring": {"orders": []},
+        "graph": {"components": [{"id": c, "self_intersection": k} for c, k in g.components],
+                  "edges": [list(e) for e in g.edges], "first_blown_up": 0},
+        "chosen": [3, 7, 3, 11],
+        "strata": [{"carrier": [c], "chi": 2 - g.valences[c]} for c in g.ids],
+        "orbits": [{"components": [c], "removed": [g.valences[c]]} for c in g.ids],
+    }
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps(doc))
+    assert run("validate", path) == 0
+    assert solved == []
+    assert run("compute", path, "--degree", 4) == 0
+    assert sorted(solved) == [3, 7, 11]
+    # check reads the chosen columns for the engine, the point characters
+    # (at E0 = 2), the curve (at 3) and the oracle
+    solved.clear()
+    assert run("check", JOBS / "example1.json", "--degree", 6) == 0
+    assert sorted(solved) == [1, 2, 3]
 
 
 def test_validate_resolves_characters(tmp_path, capsys):

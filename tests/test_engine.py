@@ -106,7 +106,7 @@ def test_variable_specialization_matches_smaller_chosen_list():
 
 def test_curve_three_chain_is_geometric_series():
     model = three_chain_model()
-    adjusted, _ = curve_strata(model, [RemovedPointOrbit("y-axis point", 1)])
+    adjusted = curve_strata(model, [RemovedPointOrbit("y-axis point", 1)])
     p = curve_poincare(model, (Branch(3),), adjusted, 10)
     u = model.ring.monomial((1,))
     for k in range(11):
@@ -273,6 +273,20 @@ def test_plan_poincare_merges_variables():
     # trivial characters i = j mod 3 of i*(2,1,1) + j*(1,1,2): i = j = 1 gives T^6
     assert got.coefficient((6,)) == 1
     assert got.coefficient((3,)) == 0
+
+
+def test_plan_poincare_scales_coprime_denominators_by_their_lcm():
+    # denominators 2 and 3 divide neither each other: L = 6, and the
+    # weight (6, 6) becomes (18, 12) / 6 = T^(3, 2); their max, 3, would
+    # read it as T^(2, 2)
+    g = ResolutionGraph(((1, -1),), (), 1)
+    model = StratumModel(g, CharacterRing(()), (1, 1),
+                         (Stratum((1,) * 6, 1), Stratum((1,) * 12, 1)))
+    plan = SubstitutionPlan(((0, 2), (1, 3)))
+    degree = 6
+    got = quotient_extract(*plan_poincare(model, plan, degree))
+    assert got == quotient_extract(divisorial_poincare(model, 3 * degree), plan)
+    assert got.coefficient((3, 2)) == 1
 
 
 def test_plan_poincare_needs_an_entry_per_chosen_component():

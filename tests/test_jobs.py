@@ -299,6 +299,12 @@ DELETE = object()
     (("curve", "removed_points", 0, "degree"), 2,
      "curve.removed_points[0]: degree 2 does not match the covering degree 1 "
      "of stratum 'y-axis point'"),
+    (("orbits", 1, "removed"), [1],
+     "orbits[1].removed: [1], but the graph gives valences [2] for [2]"),
+    (("orbits", 2, "components"), [3, 9],
+     "orbits[2]: orbit: removed counts do not align with components"),
+    (("orbits", 2, "components"), [9],
+     "orbits[2].components: [9] names a component not in the graph"),
 ])
 def test_error_messages_name_the_whole_field_path(path, value, message):
     doc = example1_doc()
@@ -323,7 +329,7 @@ def test_a_removed_point_named_by_index_is_the_one_named_by_label():
     by_index = parse_job(doc)
     assert by_index.curve.removed_points != by_label.curve.removed_points
     series = [curve_poincare(job.model, job.curve.branches,
-                             curve_strata(job.model, job.curve.removed_points)[0], 30)
+                             curve_strata(job.model, job.curve.removed_points), 30)
               for job in (by_label, by_index)]
     assert series[0] == series[1]
     assert series[0] != curve_poincare(by_label.model, by_label.curve.branches,

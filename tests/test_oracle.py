@@ -124,7 +124,7 @@ def test_curve_oracle_y_axis():
     u = model.ring.monomial((1,))
     for k in range(9):
         assert p.coefficient((k,)) == u**k
-    adjusted, _ = curve_strata(model, [RemovedPointOrbit("y-axis point", 1)])
+    adjusted = curve_strata(model, [RemovedPointOrbit("y-axis point", 1)])
     assert p == curve_poincare(model, (Branch(3),), adjusted, 8)
 
 
@@ -142,7 +142,7 @@ def test_curve_oracle_node():
     assert p.num_vars == 2
     assert p.coefficient((0, 0)) == ring.one()
     assert all(c.is_zero() for v, c in p.terms.items() if v != (0, 0))
-    adjusted, _ = curve_strata(
+    adjusted = curve_strata(
         model,
         [RemovedPointOrbit("x-axis point", 1), RemovedPointOrbit("y-axis point", 1)],
     )
@@ -283,7 +283,7 @@ def test_oracle_never_expands_the_product_formula(monkeypatch):
     for name, mode in ORACLE_ROUTES:
         job = jobs[name]
         if mode == "curve":
-            adjusted, _ = curve_strata(job.model, job.curve.removed_points)
+            adjusted = curve_strata(job.model, job.curve.removed_points)
             engine_series[name, mode] = curve_poincare(
                 job.model, job.curve.branches, adjusted, 20)
         else:

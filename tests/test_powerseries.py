@@ -458,7 +458,7 @@ def shipped_series(case):
     if case == "example1 divisorial 512 at (1,)":
         return restrict_to_character(divisorial_poincare(job.model, 512), (1,))
     if case == "example1 curve 3000":
-        adjusted, _ = curve_strata(job.model, job.curve.removed_points)
+        adjusted = curve_strata(job.model, job.curve.removed_points)
         return curve_poincare(job.model, job.curve.branches, adjusted, 3000)
     return divisorial_poincare(star_model(), 600)
 
@@ -691,7 +691,7 @@ def adopted_series(case):
     if case == "star divisorial 300":
         return divisorial_poincare(star_model(), 300)
     if case == "example1 curve 1000":
-        adjusted, _ = curve_strata(job.model, job.curve.removed_points)
+        adjusted = curve_strata(job.model, job.curve.removed_points)
         return curve_poincare(job.model, job.curve.branches, adjusted, 1000)
     series, _ = plan_poincare(job.model, job.extract, 40)
     return series

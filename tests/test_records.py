@@ -92,8 +92,8 @@ def test_repr_names_the_record_and_its_fields():
 
 def test_curve_strata_changes_only_chi():
     model = chain_model()
-    adjusted, _ = curve_strata(model, [RemovedPointOrbit("y-axis point", 1),
-                                       RemovedPointOrbit("middle open", 2)])
+    adjusted = curve_strata(model, [RemovedPointOrbit("y-axis point", 1),
+                                    RemovedPointOrbit("middle open", 2)])
     for before, after in zip(model.strata, adjusted, strict=True):
         assert type(after) is Stratum
         for field in ("carrier", "char_exponents", "derivation", "label"):

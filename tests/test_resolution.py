@@ -110,7 +110,9 @@ def test_simulated_blowup_graphs_have_valid_matrices():
 
 def test_simulated_blowup_graphs_at_full_size():
     # E.M = -I against the intersection matrix, which does not go through
-    # the blow-down, on relabelled and reordered graphs of up to 40 components
+    # the blow-down, on relabelled and reordered graphs of up to 40 components;
+    # on fresh matrices, columns and rows solved one at a time in shuffled
+    # order equal the slices of rows
     rng = random.Random(20261018)
     for trial in range(120):
         g = relabelled(rng, random_blowup_graph(rng, rng.randrange(0, 40)))
@@ -123,6 +125,12 @@ def test_simulated_blowup_graphs_at_full_size():
             for j in range(n):
                 acc = sum(a * b for a, b in zip(e[i], columns[j]))
                 assert acc == (-1 if i == j else 0)
+        by_column = g.multiplicity_matrix()
+        for t in rng.sample(range(n), n):
+            assert tuple(by_column.entry(a, g.ids[t]) for a in g.ids) == columns[t]
+        by_row = g.multiplicity_matrix()
+        for s in rng.sample(range(n), n):
+            assert list(by_row.row(g.ids[s])) == m.rows[s]
 
 
 def test_blowup_sequence_of_the_cusp_chain():
@@ -160,3 +168,16 @@ def test_matrix_is_built_once_per_graph():
     g = chain([-1, -3, -1], e0=2)
     assert g.multiplicities is g.multiplicities
     assert g.multiplicities.rows == g.multiplicity_matrix().rows
+
+
+def test_loading_solves_no_column():
+    g = chain([-1, -2, -3, -1, -5, -1, -3, -2, -1], e0=5)
+    assert g.multiplicities._columns == {}
+    assert g.multiplicities.row(1, targets=(4, 4, 9)) == (3, 3, 1)
+    assert sorted(g.multiplicities._columns) == [4, 9]
+
+
+def test_valences_count_the_edges_at_each_component():
+    g = chain([-1, -3, -1], e0=2)
+    assert [g.valences[c] for c in g.ids] == [1, 2, 1]
+    assert ResolutionGraph(((1, -1),), (), 1).valences[1] == 0

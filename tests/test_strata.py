@@ -154,18 +154,35 @@ def test_bookkeeping_findings():
     assert any("spans" in f for f in report.findings)
     report = validate_strata(model, [OrbitDecl((1, 1), (1, 1))])
     assert any("two orbits" in f for f in report.findings)
+    report = validate_strata(model, [OrbitDecl((9,), (0,))])
+    assert "orbit 0: unknown component 9" in report.findings
 
 
 def test_curve_strata_adjustment():
     model = three_chain_model()
-    adjusted, removed = curve_strata(
-        model, [RemovedPointOrbit("y-axis point", 1, degree=1)]
-    )
+    adjusted = curve_strata(model, [RemovedPointOrbit("y-axis point", 1, degree=1)])
     assert adjusted[1].chi == 0
     assert adjusted[0].chi == 1
-    assert removed == {3: 1}
     # characters and carriers survive untouched
     assert adjusted[1].derivation == model.strata[1].derivation
+
+
+def test_curve_bookkeeping_counts_the_branches():
+    # the branch meets component 3, so its orbit loses one point more than
+    # its valence; the removed strict-transform point must lie there too
+    model = three_chain_model()
+    orbits = [OrbitDecl((1,), (1,)), OrbitDecl((2,), (2,)), OrbitDecl((3,), (1,))]
+    branches = [Branch(3)]
+
+    def checks(stratum):
+        removed = [RemovedPointOrbit(stratum, 1)] if stratum else []
+        curve = model._replace(strata=curve_strata(model, removed))
+        report = validate_strata(curve, orbits, branches)
+        return [(c.euler_sum, c.expected) for c in report.checks]
+
+    assert checks("y-axis point") == [(1, 1), (0, 0), (0, 0)]
+    assert checks("x-axis point") == [(0, 1), (0, 0), (1, 0)]
+    assert checks(None) == [(1, 1), (0, 0), (1, 0)]
 
 
 def test_curve_strata_errors():
@@ -182,11 +199,8 @@ def test_curve_strata_errors():
 
 def test_curve_strata_multiset_removal():
     model = three_chain_model()
-    adjusted, removed = curve_strata(
-        model, [RemovedPointOrbit("middle open", 2, degree=3)]
-    )
+    adjusted = curve_strata(model, [RemovedPointOrbit("middle open", 2, degree=3)])
     assert adjusted[2].chi == -2
-    assert removed == {2: 6}
 
 
 def test_branch_is_plain_data():
