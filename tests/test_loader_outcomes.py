@@ -1,0 +1,122 @@
+"""Frozen outcomes of ``parse_job`` on every one-field mutation of a job.
+
+Every field of the six shipped jobs and of one generated fresh-style
+job (a random blow-up graph with string ids, trivial group, one stratum
+and one orbit per component) is deleted or replaced by ``null``,
+``true``, ``1.5``, ``"x"``, ``[]``, ``{}`` or an id the graph does not
+have.  Each outcome, "accepted" or the exact error text, is one line;
+the lines of a job are pinned as a sha256 digest, so a change to any
+accept/reject decision or to any message shows here.  An exception
+other than ``JobError`` is a bug in the loader and fails the test on
+its own, whatever its text.
+"""
+
+import hashlib
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+from eqpoincare.jobs import JobError, parse_job
+
+from blowup import random_blowup_graph
+
+JOBS = Path(__file__).resolve().parent.parent / "jobs"
+
+DIGESTS = {
+    "example1": "fab75976c3d5a6db561bec1e5e7785ea7296a3a78d72d1b48b73ad06d7b33ad6",
+    "example2": "f6e726cb8dd92b655520f0e3522e2d9ea7d708f3847ab554fd21db9ff1a951c2",
+    "example2_oracle": "5822ba05b5664ac2399a7818ea7a63869d80a86b1f40f580a6f426bc30fdfd71",
+    "example3": "b0a3dcdb0c90975ef22de40487ae024fb3f20e9c3992410a3f53c1fc0b8694ed",
+    "node_curve": "4b7d618950a471c5c4391de253c63e8725ac8aa2c6c39a41a085a0c95d26cfdc",
+    "single_blowup": "f14b38b968cd2fde3c9980a0ffc3d9c1dc636b55099711e59c3073da149ac161",
+    "fresh": "f0fc0b412501948f7ae94576acabda52d652047f617c75bee115a0ca8d45a64d",
+}
+
+_DELETE = object()
+
+
+def fresh_doc() -> dict:
+    """A job shaped like the benchmark's fresh-graphs jobs, on 8 components."""
+    g = random_blowup_graph(random.Random(34), 7)
+    name = {cid: f"f{cid}E" for cid in g.ids}
+    chosen = [g.ids[0], g.ids[3], g.ids[-1]]
+    rows = g.multiplicities
+    return {
+        "name": "fresh",
+        "ring": {"orders": []},
+        "graph": {
+            "components": [{"id": name[c], "self_intersection": k} for c, k in g.components],
+            "edges": [[name[a], name[b]] for a, b in g.edges],
+            "first_blown_up": name[g.first_blown_up],
+        },
+        "chosen": [name[c] for c in chosen],
+        "strata": [{"label": f"{name[c]} open", "carrier": [name[c]],
+                    "chi": 2 - g.valences[c]} for c in g.ids],
+        "orbits": [{"components": [name[c]], "removed": [g.valences[c]]} for c in g.ids],
+        "expected": {"divisorial": [
+            {"exponent": list(rows.row(c, chosen)), "power": g.valences[c] - 2}
+            for c in g.ids if g.valences[c] != 2
+        ]},
+    }
+
+
+def documents() -> dict:
+    docs = {path.stem: json.loads(path.read_text()) for path in sorted(JOBS.glob("*.json"))}
+    docs["fresh"] = fresh_doc()
+    return docs
+
+
+def field_paths(node, path=()):
+    """Every key of every object and every item of every list, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from field_paths(value, path + (key,))
+
+
+def show(path) -> str:
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+
+
+def outcomes(doc) -> tuple[list[str], list[str]]:
+    """The outcome line of every mutation, and the exceptions that escaped."""
+    text = json.dumps(doc)
+    ids = [c["id"] for c in doc["graph"]["components"]]
+    unknown = "no-such-component" if any(isinstance(c, str) for c in ids) else 404
+    mutations = [("delete", _DELETE), ("null", None), ("true", True), ("1.5", 1.5),
+                 ('"x"', "x"), ("[]", []), ("{}", {}), ("unknown id", unknown)]
+    lines, escaped = [], []
+    for path in field_paths(doc):
+        for label, value in mutations:
+            mutated = json.loads(text)
+            parent = mutated
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is _DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value if not isinstance(value, (list, dict)) else type(value)()
+            try:
+                parse_job(mutated)
+                result = "accepted"
+            except Exception as e:  # noqa: BLE001 - any other class is the finding
+                if not isinstance(e, JobError):
+                    escaped.append(f"{show(path)} {label}: {type(e).__name__}: {e}")
+                result = f"rejected: {e}"
+            lines.append(f"{show(path)}\t{label}\t{result}")
+    return lines, escaped
+
+
+DOCS = documents()
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_loader_outcomes_are_frozen(name):
+    lines, escaped = outcomes(DOCS[name])
+    parse_job(DOCS[name])
+    assert escaped == []
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == DIGESTS[name], f"{len(lines)} outcomes"
