@@ -109,7 +109,7 @@ def curve_poincare(model: StratumModel, branches, adjusted_strata, bound: int) -
     branches = tuple(branches)
     if not branches:
         return Series.one(0, bound, model.ring)
-    known = set(model.graph.ids)
+    known = model.graph.id_index
     for b in branches:
         if b.attach not in known:
             raise EngineError(f"branch attaches to unknown component {b.attach!r}")

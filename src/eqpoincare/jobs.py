@@ -11,6 +11,7 @@ load time with messages naming the offending section.
 from __future__ import annotations
 
 import json
+import os
 import warnings
 from collections import namedtuple
 
@@ -34,6 +35,13 @@ from .strata import (
 
 class JobError(ValueError):
     pass
+
+
+# exact types a record's fields are tested against inline; the helpers below
+# run only when a test fails, to word the error or accept a subclass
+_ID_TYPES = {str, int}
+_INT_TYPE = {int}
+_FACTOR_KEYS = {"exponent", "power"}
 
 
 def _is_int(value) -> bool:
@@ -90,7 +98,7 @@ def _id_list(value, where):
         raise JobError(f"{_at(where)}: expected a list of component ids, got {value!r}")
     for x in value:
         if not isinstance(x, (str, int)) or isinstance(x, bool):
-            _component_id(x, where)
+            raise JobError(f"{_at(where)}: component ids are strings or integers, got {x!r}")
     return tuple(value)
 
 
@@ -133,6 +141,12 @@ class Job(namedtuple("Job", "name model orbits curve extract oracle expected")):
 def _parse_strata(items, ring):
     strata = []
     for i, raw in enumerate(items):
+        if (type(raw) is dict and type(carrier := raw.get("carrier")) is list and carrier
+                and _ID_TYPES.issuperset(map(type, carrier)) and type(raw.get("chi")) is int
+                and raw.get("degree") is None and raw.get("character") is None):
+            strata.append(Stratum._make(  # the checks of Stratum.__new__ hold
+                (tuple(carrier), raw["chi"], None, None, raw.get("label"))))
+            continue
         where = ("strata", i)
         carrier = _id_list(_require(raw, "carrier", where), ("strata", i, ".carrier"))
         chi = _require(raw, "chi", where, int)
@@ -200,6 +214,11 @@ def _parse_expected_factors(items, where, ring_q):
         raise JobError(f"{where}: expected a list of factors, got {items!r}")
     factors = []
     for i, raw in enumerate(items):
+        if (type(raw) is dict and type(exponent := raw.get("exponent")) is list
+                and _INT_TYPE.issuperset(map(type, exponent)) and type(raw.get("power")) is int
+                and any(exponent) and min(exponent) >= 0 and raw.keys() <= _FACTOR_KEYS):
+            factors.append((tuple(exponent), None, raw["power"], 1))
+            continue
         here = (where, i)
         exponent = _int_list(_require(raw, "exponent", here), here)
         power = _require(raw, "power", here, int)
@@ -240,28 +259,34 @@ def parse_job(data: dict, name: str = "job") -> Job:
     graph_raw = _require(data, "graph", "job", dict)
     comps = []
     for i, c in enumerate(_require(graph_raw, "components", "graph", list)):
+        if (type(c) is dict and type(cid := c.get("id")) in _ID_TYPES
+                and type(k := c.get("self_intersection")) is int):
+            comps.append((cid, k))
+            continue
         where = ("graph.components", i)
         comps.append(
             (_component_id(_require(c, "id", where), ("graph.components", i, ".id")),
              _require(c, "self_intersection", where, int))
         )
-    edges = []
-    for i, e in enumerate(_require(graph_raw, "edges", "graph", list)):
-        edge = _id_list(e, ("graph.edges", i))
-        if len(edge) != 2:
-            raise JobError(f"graph.edges[{i}]: an edge is a pair of ids, got {e!r}")
-        edges.append(edge)
+    edges = _require(graph_raw, "edges", "graph", list)
+    for i, e in enumerate(edges):
+        if type(e) is not list or len(e) != 2 or not _ID_TYPES.issuperset(map(type, e)):
+            if len(_id_list(e, ("graph.edges", i))) != 2:
+                raise JobError(f"graph.edges[{i}]: an edge is a pair of ids, got {e!r}")
     e0 = _component_id(_require(graph_raw, "first_blown_up", "graph"),
                        "graph.first_blown_up")
     try:
-        graph = ResolutionGraph(tuple(comps), tuple(edges), e0)
+        graph = ResolutionGraph(comps, edges, e0)
         graph.multiplicities  # blows the graph down to e0, or raises
     except ValueError as e:
         raise JobError(f"graph: {e}") from e
-    known = set(graph.ids)
+    known = graph.id_index
 
     chosen = _id_list(_require(data, "chosen", "job"), "chosen")
-    strata = _parse_strata(_require(data, "strata", "job", list), ring)
+    try:
+        strata = _parse_strata(_require(data, "strata", "job", list), ring)
+    except StrataError as e:  # a Stratum's own check, worded by it
+        raise JobError(str(e)) from e
     try:
         model = StratumModel(graph, ring, chosen, strata)
     except ValueError as e:
@@ -272,18 +297,33 @@ def parse_job(data: dict, name: str = "job") -> Job:
     if orbits_raw is not None:
         orbits = []
         for i, raw in enumerate(orbits_raw):
-            where = ("orbits", i)
-            components = _id_list(_require(raw, "components", where),
-                                  ("orbits", i, ".components"))
-            removed = _int_list(_require(raw, "removed", where), where)
-            try:
-                orbits.append(OrbitDecl(components, removed))
-            except ValueError as e:
-                raise JobError(f"{_at(where)}: {e}") from e
-            if not known.issuperset(components):
+            if (type(raw) is dict and type(components := raw.get("components")) is list
+                    and type(removed := raw.get("removed")) is list
+                    and len(components) == len(removed)
+                    and _ID_TYPES.issuperset(map(type, components))
+                    and _INT_TYPE.issuperset(map(type, removed))):
+                orbit = OrbitDecl._make((tuple(components), tuple(removed)))  # aligned
+            else:
+                where = ("orbits", i)
+                components = _id_list(_require(raw, "components", where),
+                                      ("orbits", i, ".components"))
+                removed = _int_list(_require(raw, "removed", where), where)
+                try:
+                    orbit = OrbitDecl(components, removed)
+                except ValueError as e:
+                    raise JobError(f"{_at(where)}: {e}") from e
+            orbits.append(orbit)
+            components, removed = orbit
+            valences = tuple(map(graph.valences.get, components))  # None off the graph
+            if None in valences:
                 raise JobError(f"orbits[{i}].components: {list(components)} names "
                                "a component not in the graph")
-            valences = tuple(map(graph.valences.__getitem__, components))
+            if len(components) > 1:  # G acts on the graph: the members look alike
+                kinds = [graph.components[known[c]][1] for c in components]
+                if len(set(zip(kinds, valences))) > 1:
+                    raise JobError(f"orbits[{i}].components: {list(components)} have "
+                                   f"self-intersections {kinds} and valences "
+                                   f"{list(valences)}; one orbit's members share both")
             if removed != valences:
                 raise JobError(f"orbits[{i}].removed: {list(removed)}, but the graph "
                                f"gives valences {list(valences)} for {list(components)}")
@@ -411,7 +451,5 @@ def load_job(path) -> Job:
         raise JobError(f"cannot read job file {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise JobError(f"job file {path} is not valid JSON: {e}") from e
-    import os
-
     default = os.path.splitext(os.path.basename(str(path)))[0]
     return parse_job(data, name=default)

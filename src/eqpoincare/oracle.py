@@ -115,7 +115,7 @@ def monomial_character(mm: MonomialModel, a: int, b: int) -> tuple:
 def _divisorial_valuation(mm: MonomialModel, model: StratumModel):
     if mm.sigma_x is None or mm.sigma_y is None:
         raise OracleError("divisorial oracle needs sigma_x and sigma_y")
-    known = set(model.graph.ids)
+    known = model.graph.id_index
     for sigma in (mm.sigma_x, mm.sigma_y):
         if sigma not in known:
             raise OracleError(f"axis attaches to unknown component {sigma!r}")

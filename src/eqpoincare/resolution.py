@@ -6,6 +6,10 @@ component with its self-intersection number, one edge per intersection
 point of two components, and a marked vertex for the first component
 blown up.
 
+A graph keeps one map from ids to positions and one adjacency (the list of
+neighbour positions of each component, filled in as each edge is checked);
+the connectivity walk, valences, blow-down (on a copy) and matrix use them.
+
 A graph is accepted when it blows down to a smooth point.  A
 (-1)-component meeting at most two others can be taken as the last
 blow-up: contracting it raises the self-intersection of each neighbour
@@ -20,16 +24,15 @@ sequence in integer arithmetic: M[s, t] is the multiplicity of a
 curvelet transversal to component t along the divisorial valuation of
 component s.  Column t takes O(n) additions and is solved when an entry
 of it is first read, so loading a job solves no column and a series
-solves one per component indexing it.  When the blow-down fails the error also reports the determinant of
-the intersection matrix if it is not (-1)^n, the value every blow-up
-composition has.
+solves one per component indexing it.  When the blow-down fails the
+error also reports the determinant of the intersection matrix if it is
+not (-1)^n, the value every blow-up composition has.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import cached_property
-from itertools import chain
 
 
 class GraphError(ValueError):
@@ -70,8 +73,9 @@ class ResolutionGraph(namedtuple("ResolutionGraph", "components edges first_blow
         comps = tuple((cid, int(k)) for cid, k in components)
         if not comps:
             raise GraphError("a resolution graph needs at least one component")
-        ids = [cid for cid, _ in comps]
-        if len(set(ids)) != len(ids):
+        self = super().__new__(cls, comps, tuple((a, b) for a, b in edges), first_blown_up)
+        ids, index = self.ids, self.id_index
+        if len(index) != len(ids):
             dupes = sorted({c for c in ids if ids.count(c) > 1}, key=repr)
             raise GraphError(f"duplicate component ids: {dupes}")
         for cid, k in comps:
@@ -80,61 +84,63 @@ class ResolutionGraph(namedtuple("ResolutionGraph", "components edges first_blow
                     f"component {cid!r} has self-intersection {k}; blow-up "
                     "components always have self-intersection <= -1"
                 )
-        known = set(ids)
-        seen = set()
-        norm_edges = []
-        for edge in edges:
-            a, b = edge
-            if a not in known or b not in known:
-                raise GraphError(f"edge {edge!r} references an unknown component")
-            if a == b:
-                raise GraphError(f"edge {edge!r} is a loop")
-            key = frozenset((a, b))
-            if key in seen:
-                raise GraphError(f"edge {edge!r} appears twice")
-            seen.add(key)
-            norm_edges.append((a, b))
-        if first_blown_up not in known:
+        adjacency = self._adjacency
+        if first_blown_up not in index:
             raise GraphError(
                 f"first blown-up component {first_blown_up!r} is not a vertex"
             )
         # connectivity: exceptional divisors of a single germ are connected
-        reach = {ids[0]}
-        frontier = [ids[0]]
-        adjacency = {c: set() for c in ids}
-        for a, b in norm_edges:
-            adjacency[a].add(b)
-            adjacency[b].add(a)
+        reach, frontier = [True] + [False] * (len(ids) - 1), [0]
         while frontier:
-            c = frontier.pop()
-            for d in adjacency[c] - reach:
-                reach.add(d)
-                frontier.append(d)
-        if reach != known:
-            missing = sorted(known - reach, key=repr)
+            for d in adjacency[frontier.pop()]:
+                if not reach[d]:
+                    reach[d] = True
+                    frontier.append(d)
+        if not all(reach):
+            missing = sorted((c for c, r in zip(ids, reach) if not r), key=repr)
             raise GraphError(f"graph is not connected; unreachable: {missing}")
-        return super().__new__(cls, comps, tuple(norm_edges), first_blown_up)
+        return self
 
+    # cached per instance, so a graph made by _make, which skips __new__, derives them too
     @cached_property
     def ids(self) -> tuple:
         return tuple(cid for cid, _ in self.components)
 
     @cached_property
+    def id_index(self) -> dict:
+        """The position of each id in :attr:`ids`."""
+        return {cid: i for i, cid in enumerate(self.ids)}
+
+    @cached_property
+    def _adjacency(self) -> list:
+        """Neighbour positions per component in edge order; lists, so copies blow down alike."""
+        index = self.id_index
+        adjacency = [[] for _ in index]
+        for a, b in self.edges:
+            i, j = index.get(a), index.get(b)
+            if i is None or j is None:
+                raise GraphError(f"edge {(a, b)!r} references an unknown component")
+            if i == j:
+                raise GraphError(f"edge {(a, b)!r} is a loop")
+            if j in adjacency[i]:
+                raise GraphError(f"edge {(a, b)!r} appears twice")
+            adjacency[i].append(j)
+            adjacency[j].append(i)
+        return adjacency
+
+    @cached_property
     def valences(self) -> Counter:
-        """The number of edges at each component (0 for any other id)."""
-        return Counter(chain.from_iterable(self.edges))
+        """Edges at each component; every id is a key, any other id gives 0."""
+        return Counter(dict(zip(self.ids, map(len, self._adjacency))))
 
     def intersection_matrix(self) -> list[list[int]]:
         """(E_s o E_t) in the component order of the graph."""
-        ids = self.ids
-        index = {cid: i for i, cid in enumerate(ids)}
-        n = len(ids)
+        n = len(self.components)
         mat = [[0] * n for _ in range(n)]
-        for i, (_, k) in enumerate(self.components):
+        for i, ((_, k), neighbours) in enumerate(zip(self.components, self._adjacency)):
             mat[i][i] = k
-        for a, b in self.edges:
-            mat[index[a]][index[b]] = 1
-            mat[index[b]][index[a]] = 1
+            for j in neighbours:
+                mat[i][j] = 1
         return mat
 
     def blowup_sequence(self) -> tuple:
@@ -161,12 +167,8 @@ class ResolutionGraph(namedtuple("ResolutionGraph", "components edges first_blow
                 f"graph has a cycle ({len(self.edges)} edges on {n} components); "
                 "the dual graph of a blow-up composition is a tree"
             )
-        index = {cid: i for i, cid in enumerate(ids)}
         self_int = [k for _, k in self.components]
-        adjacency = [set() for _ in range(n)]
-        for a, b in self.edges:
-            adjacency[index[a]].add(index[b])
-            adjacency[index[b]].add(index[a])
+        adjacency = [set(a) for a in self._adjacency]
         # a vertex once ready stays ready: raising it above -1 is rejected,
         # and a contraction never raises a valence
         ready = [i for i in range(n) if self_int[i] == -1 and len(adjacency[i]) <= 2]
@@ -220,7 +222,7 @@ class ResolutionGraph(namedtuple("ResolutionGraph", "components edges first_blow
                 f"first_blown_up is {self.first_blown_up!r} but the graph "
                 f"blows down to {root!r}"
             )
-        return MultiplicityMatrix(self.ids, contracted)
+        return MultiplicityMatrix(self.ids, self.id_index, contracted)
 
     @cached_property
     def multiplicities(self) -> "MultiplicityMatrix":
@@ -240,10 +242,10 @@ class MultiplicityMatrix:
     first read, once per instance; :attr:`rows` solves all of them.
     """
 
-    def __init__(self, ids: tuple, contracted: list):
-        """``contracted`` is :meth:`ResolutionGraph._blow_down` of the graph."""
-        self.ids = tuple(ids)
-        self._index = {cid: i for i, cid in enumerate(self.ids)}
+    def __init__(self, ids: tuple, index: dict, contracted: list):
+        """The graph's ``ids``, ``id_index`` and ``_blow_down()``."""
+        self.ids = ids
+        self._index = index
         self._contracted = contracted
         self._columns = {}
 

@@ -68,7 +68,7 @@ class StratumModel(namedtuple("StratumModel", "graph ring chosen strata")):
                 strata: tuple):
         chosen = tuple(chosen)
         strata = tuple(strata)
-        known = set(graph.ids)
+        known = graph.id_index
         if not chosen:
             raise StrataError("at least one chosen component is required")
         for c in chosen:
@@ -208,7 +208,7 @@ def validate_strata(model: StratumModel, orbits, branches=()) -> StrataReport:
     orbits = list(orbits)
     findings: list[str] = []
     orbit_of = {}
-    known = set(model.graph.ids)
+    known = model.graph.id_index
     for i, orbit in enumerate(orbits):
         for c in orbit.components:
             if c not in known:

@@ -334,3 +334,36 @@ def test_a_removed_point_named_by_index_is_the_one_named_by_label():
     assert series[0] == series[1]
     assert series[0] != curve_poincare(by_label.model, by_label.curve.branches,
                                        by_label.model.strata, 30)
+
+
+@pytest.mark.parametrize("exponent, message", [
+    ([-3, 3], "expected.extract[0]: exponent (-3, 3) has a negative entry"),
+    ([0, 0], "expected.extract[0]: exponent (0, 0) is zero with power 1; the factor "
+             "would not be a power series"),
+])
+def test_expected_exponent_values_checked(exponent, message):
+    doc = example1_doc()
+    doc["expected"]["extract"][0]["exponent"] = exponent
+    with pytest.raises(JobError) as err:
+        parse_job(doc)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("name, index, orbit, message", [
+    # example3: the arms A1..A6 are (-2)-curves of valence 2, the tips B1..B6
+    # (-1)-curves of valence 1
+    ("example3", 1, {"components": ["A1", "B4"], "removed": [2, 1]},
+     "orbits[1].components: ['A1', 'B4'] have self-intersections [-2, -1] and "
+     "valences [2, 1]; one orbit's members share both"),
+    # example2: components 1 and 4 are both (-1)-curves, of valence 1 and 2
+    ("example2", 0, {"components": [1, 4], "removed": [1, 2]},
+     "orbits[0].components: [1, 4] have self-intersections [-1, -1] and "
+     "valences [1, 2]; one orbit's members share both"),
+])
+def test_orbit_members_share_self_intersection_and_valence(name, index, orbit, message):
+    doc = json.loads((JOBS / f"{name}.json").read_text())
+    doc["orbits"][index] = orbit
+    with pytest.raises(JobError) as err:
+        parse_job(doc)
+    assert str(err.value) == message
+    assert len(parse_job(json.loads((JOBS / "example3.json").read_text())).orbits[1].components) == 2

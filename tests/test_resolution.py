@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -181,3 +182,20 @@ def test_valences_count_the_edges_at_each_component():
     g = chain([-1, -3, -1], e0=2)
     assert [g.valences[c] for c in g.ids] == [1, 2, 1]
     assert ResolutionGraph(((1, -1),), (), 1).valences[1] == 0
+
+
+def test_graphs_rebuilt_without_new_derive_their_index():
+    # _make skips __new__ and starts from an empty instance dict; deepcopy
+    # runs __new__ and then copies the instance dict, cached matrix included
+    rng = random.Random(34)
+    graphs = [chain([-1, -3, -1], e0=2), ResolutionGraph(((1, -1),), (), 1)]
+    graphs += [relabelled(rng, random_blowup_graph(rng, k)) for k in (4, 12, 30)]
+    for g in graphs:
+        made = ResolutionGraph._make(g)
+        assert made.__dict__ == {}
+        for h in (made, copy.deepcopy(g)):
+            assert h == g
+            assert h.blowup_sequence() == g.blowup_sequence()
+            assert h.valences == g.valences
+            assert h.multiplicities.rows == g.multiplicities.rows
+            assert h.intersection_matrix() == g.intersection_matrix()
