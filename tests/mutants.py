@@ -107,7 +107,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     chosen = args.index or range(len(MUTANTS))
     verdict, seconds = run(None, args.timeout)
-    print(f"  - {verdict:9s} {seconds:6.1f} s  (no mutant)", flush=True)
+    shown = {"survived": "passes", "killed": "fails"}.get(verdict, verdict)
+    print(f"  - {shown:9s} {seconds:6.1f} s  (no mutant)", flush=True)
     if verdict != "survived":
         print("the unchanged copy fails its tests, so no verdict below would mean anything")
         return 2
