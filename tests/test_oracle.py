@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -266,6 +267,32 @@ def test_bounded_walk_on_single_blowup_at_100():
     got = oracle_poincare(job.oracle, job.model, 100)
     assert got == full_triangle_sum(job.oracle, job.model, 100)
     assert len(got.terms) == 101
+
+
+def test_single_blowup_counts_w_plus_one_at_every_weight():
+    # x^a y^b has weight a + b: the w + 1 monomials with a + b = w
+    job = load_job(JOBS / "single_blowup.json")
+    got = oracle_poincare(job.oracle, job.model, 3000)
+    assert len(got.terms) == 3001
+    for w in range(3001):
+        assert got.coefficient((w,)).trivial_part() == w + 1
+
+
+@pytest.mark.parametrize("chosen", [[2], [1, 1]])
+def test_dependent_equivariant_valuations_equal_the_full_triangle(chosen):
+    # one coordinate, or two equal ones: every weight lies on one line
+    job = load_job(JOBS / "example1.json")
+    model = StratumModel(job.model.graph, job.model.ring, chosen, ())
+    got = oracle_poincare(job.oracle, model, 200)
+    assert got == full_triangle_sum(job.oracle, model, 200)
+
+
+def test_single_blowup_at_6000_is_linear_in_the_degree():
+    job = load_job(JOBS / "single_blowup.json")
+    start = time.perf_counter()
+    got = oracle_poincare(job.oracle, job.model, 6000)
+    assert time.perf_counter() - start < 0.5  # one count per monomial takes seconds
+    assert len(got.terms) == 6001
 
 
 ORACLE_ROUTES = [
