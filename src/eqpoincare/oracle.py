@@ -15,19 +15,24 @@ chi(X) = chi(X^T); Campillo, Delgado and Gusein-Zade, Duke Math. J. 117,
 ``expand`` or the product formula, which is the point: the two routes
 are independent.
 
-One walk visits exactly the monomials it counts, each once, in both
+One walk counts exactly the monomials of the sum, each once, in both
 modes.  The valuations are linear, w(a, b) = a*r_x + b*r_y with
 r_x = w(1, 0) and r_y = w(0, 1).  A curve branch "x=0" has valuation b
 at a = 0 and infinity elsewhere ("y=0" likewise with a and b swapped);
 the walk writes infinity, and any entry above D, as D + 1.  Every entry
 is then >= 1; writing |v| for the sum of the entries, the walk runs a
-through D // |r_x| and b through (D - a*|r_x|) // |r_y|, stepping w by
-r_y, so an entry D + 1 in r_x leaves only a = 0, in r_y only b = 0, and
-no counted weight holds one.  Each row a is counted at once: its weights
-are one range per coordinate, its characters repeat with period m, and
-one ``Counter.update`` over their flat ``w + character`` keys counts the
-row in C iterators.  Regrouped per weight, the counts are the series'
-table as it is: characters reduced, counts >= 1, weights summing to <= D.
+through D // |r_x| and b through (D - a*|r_x|) // |r_y|, so an entry
+D + 1 in r_x leaves only a = 0, in r_y only b = 0, and no counted weight
+holds one.  Row a is counted by runs: its monomials with b = r mod m
+share one character, and their weights step by q = m*r_y along one
+line, named by its point whose first entry lies in [0, q_1).  Each
+(line, character) keeps one difference list over the steps, +1 where a
+run starts and -1 where it ends; accumulated once, its nonzero counts
+are the series' table as it is: characters reduced, counts >= 1,
+weights summing to <= D.  The work follows the rows times m and the
+lengths of the lines, not the monomials, so it is linear in D wherever
+the valuations are dependent (one chosen component, or a repeated or
+parallel chosen set).
 
 The dimension route is kept as the reference the sum is tested
 against: :func:`oracle_tables` builds, per character, the table
@@ -202,19 +207,29 @@ def oracle_poincare(mm: MonomialModel, model: StratumModel, degree: int,
     cap = degree + 1  # infinity, and any entry above the degree
     row_x = [min(x, cap) for x in valuation(1, 0)]
     row_y = [min(y, cap) for y in valuation(0, 1)]
-    sx, sy = sum(row_x), sum(row_y)
-    counts = Counter()  # w + character, flat -> number of monomials
+    sx, sy, order = sum(row_x), sum(row_y), mm.order
+    q = [order * y for y in row_y]  # b -> b + order keeps the character
+    steps, sq = list(zip(row_x, row_y, q)), order * sy
+    runs: dict = {}  # (line, character) -> difference list over the steps t
     for a in range(degree // sx + 1):
-        # row a: the n monomials x^a y^b with |w(a, b)| <= degree; every
-        # entry of row_y is at least 1, so no range has step 0
+        # row a: the n monomials x^a y^b with |w(a, b)| <= degree; those
+        # with b = r mod order are one run along q from w(a, r)
         n = (degree - a * sx) // sy + 1
-        weights = zip(*[range(a * x, a * x + n * y, y) for x, y in zip(row_x, row_y)])
-        period = [monomial_character(mm, a, b) for b in range(min(n, mm.order))]
-        chars = itertools.islice(itertools.cycle(period), n)
-        counts.update(map(operator.add, weights, chars))
+        for r in range(min(n, order)):
+            t = (a * row_x[0] + r * row_y[0]) // q[0]  # w(a, r) = line + t q
+            line = tuple([a * x + r * y - t * z for x, y, z in steps])
+            key = (line, monomial_character(mm, a, r))
+            diff = runs.get(key)
+            if diff is None:  # room for every t with |line + t q| <= degree, and one end
+                diff = runs[key] = [0] * ((degree - sum(line)) // sq + 2)
+            diff[t] += 1
+            diff[t + (n - r + order - 1) // order] -= 1
     table: dict = {}
-    for key, n in counts.items():
-        table.setdefault(key[:s], {})[key[s:]] = n
+    for (line, alpha), diff in runs.items():
+        weights = zip(*[range(x, x + len(diff) * y, y) for x, y in zip(line, q)])
+        for w, c in zip(weights, itertools.accumulate(diff)):
+            if c:
+                table.setdefault(w, {})[alpha] = c
     return Series._adopt(s, degree, ring, table)
 
 

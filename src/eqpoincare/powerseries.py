@@ -297,6 +297,8 @@ def _binomials(power: int, kmax: int) -> list[int]:
     C(k + p - 1, k) for power -p."""
     if power >= 0:
         return [(-1) ** k * math.comb(power, k) for k in range(min(kmax, power) + 1)]
+    if power == -1:
+        return [1] * (kmax + 1)
     return [math.comb(k - power - 1, k) for k in range(kmax + 1)]
 
 
@@ -334,8 +336,12 @@ def _apply_factor(out, buckets, m, l, c, power, apart, bound, ring):
     run's length."""
     step = sum(m)
     up = power < 0 and not apart
-    coeffs = [(-b if up else b) * c ** k
-              for k, b in enumerate(_binomials(-power if up else power, bound // step))]
+    coeffs = _binomials(-power if up else power, bound // step)
+    if up or c != 1:  # -b_k when up, times c ** k as a running product
+        ck = -1 if up else 1
+        for k, b in enumerate(coeffs):
+            coeffs[k] = b * ck
+            ck *= c
     kmax = len(coeffs) - 1
     shift = _CharShift(ring, l)
     moves = [(m, step, coeffs[1], shift)]  # (k m, k |m|, coefficient, u^(k l)) for k = 1, 2, ...

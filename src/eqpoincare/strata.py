@@ -219,7 +219,14 @@ def validate_strata(model: StratumModel, orbits, branches=()) -> StrataReport:
                 orbit_of[c] = i
     sums = [0] * len(orbits)
     for st in model.strata:
-        support = dict.fromkeys(st.carrier)  # carrier order, for stable messages
+        carrier, c = st.carrier, st.carrier[0]
+        if carrier.count(c) == len(carrier):  # one id, as most carriers are
+            if (i := orbit_of.get(c)) is None:
+                findings.append(f"{_where(st)}: carrier components {[c]} in no orbit")
+            else:
+                sums[i] += st.chi * st.degree
+            continue
+        support = dict.fromkeys(carrier)  # carrier order, for stable messages
         touched = {orbit_of[c] for c in support if c in orbit_of}
         unassigned = [c for c in support if c not in orbit_of]
         if unassigned:

@@ -62,6 +62,21 @@ MUTANTS = [
      "if len(components) > 2:"),
     ("jobs.py", "if len(set(zip(kinds, valences))) > 1:", "if len(set(kinds)) > 1:"),
     ("jobs.py", "if removed != valences:", "if len(removed) != len(valences):"),
+    # the monomial oracle's runs and difference lists
+    ("oracle.py", "diff[t + (n - r + order - 1) // order] -= 1",
+     "diff[t + (n - r) // order] -= 1"),
+    ("oracle.py", "t = (a * row_x[0] + r * row_y[0]) // q[0]", "t = 0"),
+    ("oracle.py", "q = [order * y for y in row_y]", "q = list(row_y)"),
+    ("oracle.py", "key = (line, monomial_character(mm, a, r))",
+     "key = (line, monomial_character(mm, a, 0))"),
+    ("oracle.py", "            if c:", "            if True:"),
+    ("oracle.py", "diff = runs[key] = [0] * ((degree - sum(line)) // sq + 2)",
+     "diff = runs[key] = [0] * ((degree - sum(line)) // sq + 1)"),
+    # expand's coefficient table
+    ("powerseries.py", "if up or c != 1:", "if up or c == 1:"),
+    ("powerseries.py", "return [1] * (kmax + 1)", "return [1] * kmax"),
+    # one-id carriers in the bookkeeping check
+    ("strata.py", "if carrier.count(c) == len(carrier):", "if carrier.count(c) >= 1:"),
 ]
 
 

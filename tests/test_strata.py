@@ -158,6 +158,17 @@ def test_bookkeeping_findings():
     assert "orbit 0: unknown component 9" in report.findings
 
 
+def test_bookkeeping_names_each_unassigned_carrier_component_once():
+    model = three_chain_model()
+    strata = (Stratum((1, 3, 1), 1), Stratum((2, 2), 1), Stratum((3, 3), 1))
+    report = validate_strata(model._replace(strata=strata), [OrbitDecl((1, 2), (1, 2))])
+    assert report.findings == [
+        "stratum (1, 3, 1): carrier components [3] in no orbit",
+        "stratum (3, 3): carrier components [3] in no orbit",
+    ]
+    assert report.checks[0].euler_sum == 2  # chi 1 times covering degree 2
+
+
 def test_curve_strata_adjustment():
     model = three_chain_model()
     adjusted = curve_strata(model, [RemovedPointOrbit("y-axis point", 1, degree=1)])
