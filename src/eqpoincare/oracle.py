@@ -208,8 +208,8 @@ def oracle_poincare(mm: MonomialModel, model: StratumModel, degree: int,
     row_x = [min(x, cap) for x in valuation(1, 0)]
     row_y = [min(y, cap) for y in valuation(0, 1)]
     sx, sy, order = sum(row_x), sum(row_y), mm.order
-    q = [order * y for y in row_y]  # b -> b + order keeps the character
-    steps, sq = list(zip(row_x, row_y, q)), order * sy
+    q = [order * y for y in row_y]  # b -> b + order keeps the character; entries >= 1
+    steps, sq = list(zip(row_x, row_y, q)), sum(q)
     runs: dict = {}  # (line, character) -> difference list over the steps t
     for a in range(degree // sx + 1):
         # row a: the n monomials x^a y^b with |w(a, b)| <= degree; those
