@@ -37,69 +37,121 @@ class JobError(ValueError):
     pass
 
 
-# exact types a record's fields are tested against inline; the helpers below
-# run only when a test fails, to word the error or accept a subclass
+_NULL = type(None)
 _ID_TYPES = {str, int}
 _INT_TYPE = {int}
-_FACTOR_KEYS = {"exponent", "power"}
+
+# How a value of the wrong type is worded, from the object's path ``where``,
+# the field's path ``at`` (its bare key at the top level), ``key``, the type
+# name ``got`` and the ``value``; ``_INTS_HERE`` names the object, not the field.
+_TYPE = "{where}.{key}: unexpected type {got}"
+_INTS = "{at}: expected a list of integers, got {value!r}"
+_INTS_HERE = "{where}: expected a list of integers, got {value!r}"
+_IDS = "{at}: expected a list of component ids, got {value!r}"
+_ID = "{at}: component ids are strings or integers, got {value!r}"
+_FACTORS = "{at}: expected a list of factors, got {value!r}"
+_INTEGER = "{where}: {key} must be an integer"
+
+# The job schema: for each kind of object, its keys in the order they are
+# checked, as (key, types, item, required, message).  A value's exact type
+# must be in ``types`` (None: any value; NoneType in it: null counts as
+# absent).  ``item`` is the kind of the objects a field holds, which the
+# loader walks in turn, or for a list the set of its items' types, or the
+# (types, item, message) rule of each of its items.  An id list words a bad
+# item with ``_ID``, any other list with ``message``.
+_SCHEMA = {
+    "job": (("name", None, None, False, None),
+            ("ring", {dict}, "ring", True, _TYPE),
+            ("graph", {dict}, "graph", True, _TYPE),
+            ("chosen", {list}, _ID_TYPES, True, _IDS),
+            ("strata", {list}, "stratum", True, _TYPE),
+            ("orbits", {list, _NULL}, "orbit", False, _TYPE),
+            ("curve", {dict, _NULL}, "curve", False, _TYPE),
+            ("extract", {dict, _NULL}, "extract", False, _TYPE),
+            ("oracle", {dict, _NULL}, "oracle", False, _TYPE),
+            ("expected", {dict, _NULL}, "expected", False, _TYPE)),
+    "ring": (("orders", {list}, _INT_TYPE, True, _INTS),),
+    "graph": (("components", {list}, "component", True, _TYPE),
+              ("edges", {list}, ({list}, _ID_TYPES, _IDS), True, _TYPE),
+              ("first_blown_up", _ID_TYPES, None, True, _ID)),
+    "component": (("id", _ID_TYPES, None, True, _ID),
+                  ("self_intersection", {int}, None, True, _TYPE)),
+    "stratum": (("carrier", {list}, _ID_TYPES, True, _IDS),
+                ("chi", {int}, None, True, _TYPE),
+                ("label", None, None, False, None),
+                ("degree", {int, _NULL}, None, False, _TYPE),
+                ("character", {dict, _NULL}, "character", False, _TYPE)),
+    "character": (("exponents", {list}, _INT_TYPE, False, _INTS_HERE),
+                  ("from_point", None, "from_point", False, None)),
+    "from_point": (("exponents", {list}, _INT_TYPE, True, _INTS_HERE),
+                   ("orbit_size", {int}, None, True, _TYPE)),
+    "orbit": (("components", {list}, _ID_TYPES, True, _IDS),
+              ("removed", {list}, _INT_TYPE, True, _INTS_HERE)),
+    "curve": (("branches", {list}, "branch", True, _TYPE),
+              ("removed_points", {list, _NULL}, "removed_point", False, _TYPE)),
+    "branch": (("attach", _ID_TYPES, None, True, _ID),
+               ("label", None, None, False, None)),
+    "removed_point": (("stratum", {str, int}, None, True, _TYPE),
+                      ("count", {int}, None, True, _TYPE),
+                      ("degree", {int, _NULL}, None, False, _TYPE)),
+    "extract": (("plan", {list}, "step", True, _TYPE),
+                ("compute_degree", None, None, False, None)),  # read by the benchmark only
+    "step": (("variable", {int}, None, True, _TYPE),
+             ("drop", None, None, False, None),
+             ("output", {int}, None, True, _TYPE),
+             ("denominator", {int}, None, False, _INTEGER)),
+    "oracle": (("curve_axes", {list, _NULL}, None, False, _TYPE),
+               ("sigma_x", {str, int, _NULL}, None, False, _TYPE),
+               ("sigma_y", {str, int, _NULL}, None, False, _TYPE),
+               ("weights", {list}, _INT_TYPE, True, _INTS),
+               ("order", {int}, None, True, _TYPE)),
+    "expected": (("divisorial", {list}, "factor", False, _FACTORS),
+                 ("curve", {list}, "factor", False, _FACTORS),
+                 ("extract", {list}, "factor", False, _FACTORS)),
+    "factor": (("exponent", {list}, _INT_TYPE, True, _INTS_HERE),
+               ("power", {int}, None, True, _TYPE),
+               ("character", {list}, _INT_TYPE, False, _INTS_HERE),
+               ("coefficient", {int}, None, False, _INTEGER)),
+}
+_KEYS = {kind: {field[0] for field in fields} for kind, fields in _SCHEMA.items()}
 
 
-def _is_int(value) -> bool:
-    # JSON true/false arrive as bool, which Python counts as int
-    return isinstance(value, int) and not isinstance(value, bool)
+def _check(value, types, item, message, where, key, at=None):
+    """Raise ``message`` unless ``value`` keeps the rule ``types``/``item``;
+    ``at`` is the value's path when it is not the field's own."""
+    if type(value) in types:
+        if value is None or item is None or type(item) is str:
+            return
+        if type(item) is tuple:  # a list of lists: each item keeps the rule ``item``
+            for i, x in enumerate(value):
+                if type(x) not in item[0] or not item[1].issuperset(map(type, x)):
+                    _check(x, *item, where, key, f"{where}.{key}[{i}]")
+            return
+        if item.issuperset(map(type, value)):
+            return
+        if item is _ID_TYPES:  # an id list names its first bad id
+            value, message = next(x for x in value if type(x) not in item), _ID
+    if at is None:
+        at = key if where == "job" else f"{where}.{key}"
+    raise JobError(message.format(where=where, key=key, at=at, got=type(value).__name__,
+                                  value=value))
 
 
-def _at(where) -> str:
-    """The field path of a message: ``where`` as it is when a string, or
-    ``name[index]suffix`` from a ``(name, index[, suffix])`` tuple.  The
-    loader passes tuples for list items and formats them only to raise."""
-    if isinstance(where, str):
-        return where
-    name, index, *suffix = where
-    return f"{name}[{index}]" + "".join(suffix)
-
-
-def _require(mapping, key, where, types=None):
-    if not isinstance(mapping, dict):
-        raise JobError(f"{_at(where)}: expected an object, got {type(mapping).__name__}")
-    if key not in mapping:
-        raise JobError(f"{_at(where)}: missing required field {key!r}")
-    value = mapping[key]
-    if types is not None and (not isinstance(value, types) or isinstance(value, bool)):
-        raise JobError(f"{_at(where)}.{key}: unexpected type {type(value).__name__}")
-    return value
-
-
-def _optional(mapping, key, where, types):
-    """``mapping[key]`` checked like :func:`_require`; None when absent or null."""
-    if mapping.get(key) is None:
-        return None
-    return _require(mapping, key, where, types)
-
-
-def _int_list(value, where):
-    if isinstance(value, list):
-        for x in value:
-            if not isinstance(x, int) or isinstance(x, bool):
-                break
-        else:
-            return tuple(value)
-    raise JobError(f"{_at(where)}: expected a list of integers, got {value!r}")
-
-
-def _component_id(value, where):
-    if not isinstance(value, (str, int)) or isinstance(value, bool):
-        raise JobError(f"{_at(where)}: component ids are strings or integers, got {value!r}")
-    return value
-
-
-def _id_list(value, where):
-    if not isinstance(value, list):
-        raise JobError(f"{_at(where)}: expected a list of component ids, got {value!r}")
-    for x in value:
-        if not isinstance(x, (str, int)) or isinstance(x, bool):
-            raise JobError(f"{_at(where)}: component ids are strings or integers, got {x!r}")
-    return tuple(value)
+def _walk(raw, kind, where, part=slice(None)):
+    """Check the object ``raw`` at path ``where`` against the fields of
+    ``kind`` in ``part``, in table order, and reject any key ``kind`` does
+    not list."""
+    if type(raw) is not dict:
+        raise JobError(f"{where}: expected an object, got {type(raw).__name__}")
+    if not raw.keys() <= _KEYS[kind]:
+        key = next(key for key in raw if key not in _KEYS[kind])
+        raise JobError(f"{where}.{key}: unknown field")
+    for key, types, item, required, message in _SCHEMA[kind][part]:
+        if key in raw:
+            if types is not None:
+                _check(raw[key], types, item, message, where, key)
+        elif required:
+            raise JobError(f"{where}: missing required field {key!r}")
 
 
 class CurveSpec(namedtuple("CurveSpec", "branches removed_points")):
@@ -138,44 +190,35 @@ class Job(namedtuple("Job", "name model orbits curve extract oracle expected")):
         return expand(self.expected[kind], num_vars, degree, ring)
 
 
-def _parse_strata(items, ring):
+def _parse_strata(items):
     strata = []
     for i, raw in enumerate(items):
-        if (type(raw) is dict and type(carrier := raw.get("carrier")) is list and carrier
-                and _ID_TYPES.issuperset(map(type, carrier)) and type(raw.get("chi")) is int
-                and raw.get("degree") is None and raw.get("character") is None):
+        if (type(raw) is dict and len(raw) == 2 + ("label" in raw)
+                and type(carrier := raw.get("carrier")) is list and carrier
+                and _ID_TYPES.issuperset(map(type, carrier)) and type(raw.get("chi")) is int):
             strata.append(Stratum._make(  # the checks of Stratum.__new__ hold
                 (tuple(carrier), raw["chi"], None, None, raw.get("label"))))
             continue
-        where = ("strata", i)
-        carrier = _id_list(_require(raw, "carrier", where), ("strata", i, ".carrier"))
-        chi = _require(raw, "chi", where, int)
-        label = raw.get("label")
-        degree = _optional(raw, "degree", where, int)
+        where = f"strata[{i}]"
+        _walk(raw, "stratum", where)
+        carrier = raw["carrier"]
+        degree = raw.get("degree")
         if degree is not None and degree != len(carrier):
-            raise JobError(
-                f"{_at(where)}: declared degree {degree} but the carrier has "
-                f"{len(carrier)} entries"
-            )
-        char_exponents = None
-        derivation = None
-        spec = _optional(raw, "character", where, dict)
+            raise JobError(f"{where}: declared degree {degree} but the carrier has "
+                           f"{len(carrier)} entries")
+        char_exponents = derivation = None
+        spec = raw.get("character")
         if spec is not None:
-            if "exponents" in spec:
-                char_exponents = _int_list(spec["exponents"], ("strata", i, ".character"))
+            _walk(spec, "character", f"{where}.character")
+            char_exponents = spec.get("exponents")
             if "from_point" in spec:
                 fp = spec["from_point"]
-                here = ("strata", i, ".character.from_point")
-                derivation = CharDerivation(
-                    _int_list(_require(fp, "exponents", here), here),
-                    _require(fp, "orbit_size", here, int),
-                )
+                _walk(fp, "from_point", f"{where}.character.from_point")
+                derivation = CharDerivation(tuple(fp["exponents"]), fp["orbit_size"])
             if char_exponents is None and derivation is None:
-                raise JobError(f"{_at(where)}.character: needs exponents or from_point")
-        strata.append(
-            Stratum(carrier, chi, char_exponents=char_exponents,
-                    derivation=derivation, label=label)
-        )
+                raise JobError(f"{where}.character: needs exponents or from_point")
+        strata.append(Stratum(carrier, raw["chi"], char_exponents=char_exponents,
+                              derivation=derivation, label=raw.get("label")))
     return tuple(strata)
 
 
@@ -183,20 +226,18 @@ def _parse_plan(items, num_vars):
     entries = [None] * num_vars
     seen = set()
     for i, raw in enumerate(items):
-        where = ("extract.plan", i)
-        var = _require(raw, "variable", where, int)
+        where = f"extract.plan[{i}]"
+        _walk(raw, "step", where, slice(2))  # variable, drop
+        var = raw["variable"]
         if not 1 <= var <= num_vars:
-            raise JobError(f"{_at(where)}: variable {var} out of range 1..{num_vars}")
+            raise JobError(f"{where}: variable {var} out of range 1..{num_vars}")
         if var in seen:
-            raise JobError(f"{_at(where)}: variable {var} mapped twice")
+            raise JobError(f"{where}: variable {var} mapped twice")
         seen.add(var)
         if raw.get("drop"):
             continue
-        out = _require(raw, "output", where, int)
-        den = raw.get("denominator", 1)
-        if not _is_int(den):
-            raise JobError(f"{_at(where)}: denominator must be an integer")
-        entries[var - 1] = (out - 1, den)
+        _walk(raw, "step", where, slice(2, None))  # output, denominator
+        entries[var - 1] = (raw["output"] - 1, raw.get("denominator", 1))
     if seen != set(range(1, num_vars + 1)):
         missing = sorted(set(range(1, num_vars + 1)) - seen)
         raise JobError(f"extract.plan: variables {missing} not mapped")
@@ -210,81 +251,64 @@ def _parse_plan(items, num_vars):
 
 def _parse_expected_factors(items, where, ring_q):
     """The factors as ``expand`` records (exponent, character, power, coefficient)."""
-    if not isinstance(items, list):
-        raise JobError(f"{where}: expected a list of factors, got {items!r}")
     factors = []
     for i, raw in enumerate(items):
-        if (type(raw) is dict and type(exponent := raw.get("exponent")) is list
+        if (type(raw) is dict and len(raw) == 2 and type(exponent := raw.get("exponent")) is list
                 and _INT_TYPE.issuperset(map(type, exponent)) and type(raw.get("power")) is int
-                and any(exponent) and min(exponent) >= 0 and raw.keys() <= _FACTOR_KEYS):
+                and any(exponent) and min(exponent) >= 0):
             factors.append((tuple(exponent), None, raw["power"], 1))
             continue
-        here = (where, i)
-        exponent = _int_list(_require(raw, "exponent", here), here)
-        power = _require(raw, "power", here, int)
+        here = f"{where}[{i}]"
+        _walk(raw, "factor", here)
+        exponent = tuple(raw["exponent"])
+        power = raw["power"]
         if any(x < 0 for x in exponent):
-            raise JobError(f"{_at(here)}: exponent {exponent} has a negative entry")
+            raise JobError(f"{here}: exponent {exponent} has a negative entry")
         if power != 0 and not any(exponent):
-            raise JobError(
-                f"{_at(here)}: exponent {exponent} is zero with power {power}; the "
-                "factor would not be a power series"
-            )
+            raise JobError(f"{here}: exponent {exponent} is zero with power {power}; "
+                           "the factor would not be a power series")
         character = None
         if "character" in raw:
-            character = _int_list(raw["character"], here)
+            character = tuple(raw["character"])
             if ring_q is not None and len(character) != ring_q:
-                raise JobError(
-                    f"{_at(here)}: character {character} does not match the "
-                    f"{ring_q} ring generators"
-                )
-        coefficient = raw.get("coefficient", 1)
-        if not _is_int(coefficient):
-            raise JobError(f"{_at(here)}: coefficient must be an integer")
-        factors.append((exponent, character, power, coefficient))
+                raise JobError(f"{here}: character {character} does not match the "
+                               f"{ring_q} ring generators")
+        factors.append((exponent, character, power, raw.get("coefficient", 1)))
     return tuple(factors)
 
 
 def parse_job(data: dict, name: str = "job") -> Job:
-    if not isinstance(data, dict):
-        raise JobError("job document must be a JSON object")
+    _walk(data, "job", "job")
     name = data.get("name", name)
 
-    ring_raw = _require(data, "ring", "job", dict)
-    orders = _int_list(_require(ring_raw, "orders", "ring"), "ring.orders")
+    _walk(data["ring"], "ring", "ring")
     try:
-        ring = CharacterRing(orders)
+        ring = CharacterRing(data["ring"]["orders"])
     except ValueError as e:
         raise JobError(f"ring: {e}") from e
 
-    graph_raw = _require(data, "graph", "job", dict)
+    graph_raw = data["graph"]
+    _walk(graph_raw, "graph", "graph")
     comps = []
-    for i, c in enumerate(_require(graph_raw, "components", "graph", list)):
-        if (type(c) is dict and type(cid := c.get("id")) in _ID_TYPES
-                and type(k := c.get("self_intersection")) is int):
-            comps.append((cid, k))
-            continue
-        where = ("graph.components", i)
-        comps.append(
-            (_component_id(_require(c, "id", where), ("graph.components", i, ".id")),
-             _require(c, "self_intersection", where, int))
-        )
-    edges = _require(graph_raw, "edges", "graph", list)
+    for i, c in enumerate(graph_raw["components"]):
+        if (type(c) is not dict or len(c) != 2 or type(c.get("id")) not in _ID_TYPES
+                or type(c.get("self_intersection")) is not int):
+            _walk(c, "component", f"graph.components[{i}]")
+        comps.append((c["id"], c["self_intersection"]))
+    edges = graph_raw["edges"]
     for i, e in enumerate(edges):
-        if type(e) is not list or len(e) != 2 or not _ID_TYPES.issuperset(map(type, e)):
-            if len(_id_list(e, ("graph.edges", i))) != 2:
-                raise JobError(f"graph.edges[{i}]: an edge is a pair of ids, got {e!r}")
-    e0 = _component_id(_require(graph_raw, "first_blown_up", "graph"),
-                       "graph.first_blown_up")
+        if len(e) != 2:
+            raise JobError(f"graph.edges[{i}]: an edge is a pair of ids, got {e!r}")
     try:
-        graph = ResolutionGraph(comps, edges, e0)
+        graph = ResolutionGraph(comps, edges, graph_raw["first_blown_up"])
         graph.multiplicities  # blows the graph down to e0, or raises
     except ValueError as e:
         raise JobError(f"graph: {e}") from e
     known = graph.id_index
 
-    chosen = _id_list(_require(data, "chosen", "job"), "chosen")
+    chosen = tuple(data["chosen"])
     try:
-        strata = _parse_strata(_require(data, "strata", "job", list), ring)
+        strata = _parse_strata(data["strata"])
     except StrataError as e:  # a Stratum's own check, worded by it
         raise JobError(str(e)) from e
     try:
@@ -293,25 +317,21 @@ def parse_job(data: dict, name: str = "job") -> Job:
         raise JobError(f"model: {e}") from e
 
     orbits = None
-    orbits_raw = _optional(data, "orbits", "job", list)
-    if orbits_raw is not None:
+    if data.get("orbits") is not None:
         orbits = []
-        for i, raw in enumerate(orbits_raw):
-            if (type(raw) is dict and type(components := raw.get("components")) is list
+        for i, raw in enumerate(data["orbits"]):
+            if (type(raw) is dict and len(raw) == 2
+                    and type(components := raw.get("components")) is list
                     and type(removed := raw.get("removed")) is list
-                    and len(components) == len(removed)
-                    and _ID_TYPES.issuperset(map(type, components))
-                    and _INT_TYPE.issuperset(map(type, removed))):
+                    and len(components) == len(removed) and _ID_TYPES.issuperset(
+                        map(type, components)) and _INT_TYPE.issuperset(map(type, removed))):
                 orbit = OrbitDecl._make((tuple(components), tuple(removed)))  # aligned
             else:
-                where = ("orbits", i)
-                components = _id_list(_require(raw, "components", where),
-                                      ("orbits", i, ".components"))
-                removed = _int_list(_require(raw, "removed", where), where)
+                _walk(raw, "orbit", f"orbits[{i}]")
                 try:
-                    orbit = OrbitDecl(components, removed)
+                    orbit = OrbitDecl(raw["components"], raw["removed"])
                 except ValueError as e:
-                    raise JobError(f"{_at(where)}: {e}") from e
+                    raise JobError(f"orbits[{i}]: {e}") from e
             orbits.append(orbit)
             components, removed = orbit
             valences = tuple(map(graph.valences.get, components))  # None off the graph
@@ -330,98 +350,79 @@ def parse_job(data: dict, name: str = "job") -> Job:
         orbits = tuple(orbits)
 
     curve = None
-    raw = _optional(data, "curve", "job", dict)
+    raw = data.get("curve")
     if raw is not None:
-        branches = []
-        branches_raw = _require(raw, "branches", "curve", list)
-        if not branches_raw:
+        _walk(raw, "curve", "curve")
+        if not raw["branches"]:
             raise JobError("curve.branches: lists no branches; a curve has at least one")
-        for i, b in enumerate(branches_raw):
-            attach = _component_id(_require(b, "attach", ("curve.branches", i)),
-                                   ("curve.branches", i, ".attach"))
-            if attach not in known:
-                raise JobError(
-                    f"curve.branches[{i}]: attach component {attach!r} unknown"
-                )
-            branches.append(Branch(attach, b.get("label")))
+        branches = []
+        for i, b in enumerate(raw["branches"]):
+            _walk(b, "branch", f"curve.branches[{i}]")
+            if b["attach"] not in known:
+                raise JobError(f"curve.branches[{i}]: attach component {b['attach']!r} unknown")
+            branches.append(Branch(b["attach"], b.get("label")))
         removed = []
-        for i, r in enumerate(_optional(raw, "removed_points", "curve", list) or ()):
-            where = ("curve.removed_points", i)
-            orbit = RemovedPointOrbit(
-                _require(r, "stratum", where, (str, int)),
-                _require(r, "count", where, int),
-                _optional(r, "degree", where, int),
-            )
+        for i, r in enumerate(raw.get("removed_points") or ()):
+            where = f"curve.removed_points[{i}]"
+            _walk(r, "removed_point", where)
+            orbit = RemovedPointOrbit(r["stratum"], r["count"], r.get("degree"))
             try:
                 removed_point_stratum(model.strata, orbit)
             except StrataError as e:
-                raise JobError(f"{_at(where)}: {e}") from e
+                raise JobError(f"{where}: {e}") from e
             removed.append(orbit)
         curve = CurveSpec(tuple(branches), tuple(removed))
 
     extract = None
-    raw = _optional(data, "extract", "job", dict)
+    raw = data.get("extract")
     if raw is not None:
-        extract = _parse_plan(_require(raw, "plan", "extract", list), len(chosen))
+        _walk(raw, "extract", "extract")
+        extract = _parse_plan(raw["plan"], len(chosen))
 
     oracle = None
-    raw = _optional(data, "oracle", "job", dict)
+    raw = data.get("oracle")
     if raw is not None:
-        axes = _optional(raw, "curve_axes", "oracle", list)
+        _walk(raw, "oracle", "oracle", slice(3))  # curve_axes, sigma_x, sigma_y
+        axes = raw.get("curve_axes")
         if axes is not None:
             if curve is None:
                 raise JobError("oracle.curve_axes given but the job has no curve")
             if len(axes) != len(curve.branches):
-                raise JobError(
-                    f"oracle.curve_axes lists {len(axes)} axes for "
-                    f"{len(curve.branches)} branches"
-                )
-        sigma_x = _optional(raw, "sigma_x", "oracle", (str, int))
-        sigma_y = _optional(raw, "sigma_y", "oracle", (str, int))
+                raise JobError(f"oracle.curve_axes lists {len(axes)} axes for "
+                               f"{len(curve.branches)} branches")
+        sigma_x, sigma_y = raw.get("sigma_x"), raw.get("sigma_y")
         if (sigma_x is None) != (sigma_y is None):
             missing = "sigma_x" if sigma_x is None else "sigma_y"
-            raise JobError(
-                f"oracle.{missing}: missing; sigma_x and sigma_y come as a pair"
-            )
+            raise JobError(f"oracle.{missing}: missing; sigma_x and sigma_y come as a pair")
         for key, sigma in (("sigma_x", sigma_x), ("sigma_y", sigma_y)):
             if sigma is not None and sigma not in known:
                 raise JobError(f"oracle.{key}: component {sigma!r} unknown")
         if sigma_x is None and axes is None:
             raise JobError("oracle: needs sigma_x and sigma_y, or curve_axes")
-        weights = _int_list(_require(raw, "weights", "oracle"), "oracle.weights")
-        if len(weights) != 2:
+        _walk(raw, "oracle", "oracle", slice(3, 4))  # weights
+        if len(raw["weights"]) != 2:
             raise JobError("oracle.weights must be a pair")
         try:
+            _walk(raw, "oracle", "oracle", slice(4, None))  # order
             with warnings.catch_warnings():  # validate and check print a line instead
                 warnings.simplefilter("ignore", RuntimeWarning)
-                oracle = MonomialModel(
-                    _require(raw, "order", "oracle", int),
-                    weights,
-                    sigma_x=sigma_x,
-                    sigma_y=sigma_y,
-                    curve_axes=tuple(axes) if axes is not None else None,
-                )
+                oracle = MonomialModel(raw["order"], tuple(raw["weights"]), sigma_x=sigma_x,
+                                       sigma_y=sigma_y,
+                                       curve_axes=tuple(axes) if axes is not None else None)
         except ValueError as e:
             raise JobError(f"oracle: {e}") from e
         if tuple(oracle.ring().orders) != ring.orders:
-            raise JobError(
-                f"oracle order {oracle.order} does not give ring orders {ring.orders}"
-            )
+            raise JobError(f"oracle order {oracle.order} does not give ring orders {ring.orders}")
 
     expected = {}
-    expected_raw = _optional(data, "expected", "job", dict)
+    expected_raw = data.get("expected")
     if expected_raw is not None:
+        _walk(expected_raw, "expected", "expected")
         for kind, raw in expected_raw.items():
-            if kind not in ("divisorial", "curve", "extract"):
-                raise JobError(f"expected.{kind}: unknown series kind")
             q = ring.num_generators if kind != "extract" else None
             expected[kind] = _parse_expected_factors(raw, f"expected.{kind}", q)
-            if kind == "extract":
-                for _, character, _, _ in expected[kind]:
-                    if character is not None:
-                        raise JobError(
-                            "expected.extract factors are integer series factors"
-                        )
+            if kind == "extract" and any(f[1] is not None for f in expected[kind]):
+                raise JobError("expected.extract factors are integer series factors")
     if "extract" in expected and extract is None:
         raise JobError("expected.extract needs an extract section")
     if "curve" in expected and curve is None:
@@ -434,10 +435,8 @@ def parse_job(data: dict, name: str = "job") -> Job:
     for kind, factors in expected.items():
         for i, (exponent, _, _, _) in enumerate(factors):
             if len(exponent) != arity[kind]:
-                raise JobError(
-                    f"expected.{kind}[{i}]: exponent {exponent} has "
-                    f"{len(exponent)} entries, needs {arity[kind]}"
-                )
+                raise JobError(f"expected.{kind}[{i}]: exponent {exponent} has "
+                               f"{len(exponent)} entries, needs {arity[kind]}")
 
     return Job(name=name, model=model, orbits=orbits, curve=curve,
                extract=extract, oracle=oracle, expected=expected)

@@ -31,24 +31,25 @@ PACKAGE = ROOT / "src" / "eqpoincare"
 
 # (file under src/eqpoincare, old, new): each replaces one line's text
 MUTANTS = [
-    # the loader's inline type checks
+    # the loader's schema table, its walk, and the record shapes that skip the walk
     ("jobs.py", "_ID_TYPES = {str, int}", "_ID_TYPES = {str, int, float}"),
     ("jobs.py", "_INT_TYPE = {int}", "_INT_TYPE = {int, bool}"),
-    ("jobs.py", 'and type(k := c.get("self_intersection")) is int):',
-     'and type(k := c.get("self_intersection")) in (int, float)):'),
-    ("jobs.py", 'and raw.get("degree") is None and raw.get("character") is None):',
-     'and raw.get("character") is None):'),
-    ("jobs.py", "and any(exponent) and min(exponent) >= 0 and raw.keys() <= _FACTOR_KEYS):",
-     "and any(exponent) and raw.keys() <= _FACTOR_KEYS):"),
-    ("jobs.py", '_FACTOR_KEYS = {"exponent", "power"}',
-     '_FACTOR_KEYS = {"exponent", "power", "coefficient"}'),
-    ("jobs.py", "if not isinstance(x, (str, int)) or isinstance(x, bool):",
-     "if not isinstance(x, (str, int)):"),
+    ("jobs.py", '("chi", {int}, None, True, _TYPE),', '("chi", {int}, None, False, _TYPE),'),
+    ("jobs.py", '("count", {int}, None, True, _TYPE),',
+     '("count", {int, float}, None, True, _TYPE),'),
+    ("jobs.py", "if not raw.keys() <= _KEYS[kind]:", "if False:"),
+    ("jobs.py", "if item is _ID_TYPES:  # an id list names its first bad id", "if False:"),
+    ("jobs.py", "if type(x) not in item[0] or not item[1].issuperset(map(type, x)):",
+     "if type(x) not in item[0]:"),
+    ("jobs.py", 'if (type(c) is not dict or len(c) != 2 or type(c.get("id")) not in _ID_TYPES',
+     'if (type(c) is not dict or type(c.get("id")) not in _ID_TYPES'),
+    ("jobs.py", 'if (type(raw) is dict and len(raw) == 2 + ("label" in raw)',
+     "if (type(raw) is dict"),
+    ("jobs.py", "and any(exponent) and min(exponent) >= 0):", "and any(exponent)):"),
     ("jobs.py", "except StrataError as e:  # a Stratum's own check, worded by it",
      "except KeyError as e:"),
-    # the loader's edge loop
-    ("jobs.py", "if type(e) is not list or len(e) != 2 or not _ID_TYPES.issuperset(map(type, e)):",
-     "if type(e) is not list or not _ID_TYPES.issuperset(map(type, e)):"),
+    # the loader's edge pairs
+    ("jobs.py", "if len(e) != 2:", "if len(e) > 2:"),
     # the graph's edge checks, connectivity walk and intersection matrix
     ("resolution.py", "if i is None or j is None:", "if i is None:"),
     ("resolution.py", "if i == j:", "if i == j and i < 0:"),

@@ -61,6 +61,34 @@ def test_expected_series_unknown_kind():
         job.expected_series("curve", 5)
 
 
+def test_expected_series_needs_its_section():
+    job = load_job(JOBS / "example1.json")
+    for kind, message in (("extract", "expected extract without a plan"),
+                          ("curve", "expected curve series without a curve")):
+        bare = job._replace(**{kind: None})
+        with pytest.raises(JobError, match=f"^job 'cyclic3-chain': {message}$"):
+            bare.expected_series(kind, 3)
+
+
+def test_a_document_that_is_not_an_object_is_rejected():
+    with pytest.raises(JobError, match="^job: expected an object, got list$"):
+        parse_job([])
+
+
+def test_ring_errors_are_wrapped():
+    doc = example1_doc()
+    doc["ring"]["orders"] = [1]
+    with pytest.raises(JobError, match=r"^ring: cyclic orders must be integers >= 2, got 1"):
+        parse_job(doc)
+
+
+def test_expected_curve_needs_a_curve():
+    doc = json.loads((JOBS / "single_blowup.json").read_text())
+    doc["expected"]["curve"] = [{"exponent": [1], "power": 1}]
+    with pytest.raises(JobError, match="^expected.curve needs a curve section$"):
+        parse_job(doc)
+
+
 def test_missing_section_is_located():
     doc = example1_doc()
     del doc["ring"]
@@ -139,7 +167,7 @@ def test_expected_exponent_arity_checked():
 def test_expected_unknown_kind_rejected():
     doc = example1_doc()
     doc["expected"]["bogus"] = []
-    with pytest.raises(JobError, match="unknown series kind"):
+    with pytest.raises(JobError, match=r"^expected\.bogus: unknown field$"):
         parse_job(doc)
 
 
