@@ -399,11 +399,10 @@ def parse_job(data: dict, name: str = "job") -> Job:
                 raise JobError(f"oracle.{key}: component {sigma!r} unknown")
         if sigma_x is None and axes is None:
             raise JobError("oracle: needs sigma_x and sigma_y, or curve_axes")
-        _walk(raw, "oracle", "oracle", slice(3, 4))  # weights
+        _walk(raw, "oracle", "oracle", slice(3, None))  # weights, order
         if len(raw["weights"]) != 2:
             raise JobError("oracle.weights must be a pair")
         try:
-            _walk(raw, "oracle", "oracle", slice(4, None))  # order
             with warnings.catch_warnings():  # validate and check print a line instead
                 warnings.simplefilter("ignore", RuntimeWarning)
                 oracle = MonomialModel(raw["order"], tuple(raw["weights"]), sigma_x=sigma_x,

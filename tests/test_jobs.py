@@ -318,6 +318,7 @@ DELETE = object()
      "extract.plan[1]: variable 9 out of range 1..3"),
     (("expected", "divisorial", 0, "coefficient"), "1",
      "expected.divisorial[0]: coefficient must be an integer"),
+    (("oracle", "order"), "3", "oracle.order: unexpected type str"),
     (("curve", "removed_points", 0, "stratum"), 9,
      "curve.removed_points[0]: no stratum 9"),
     (("curve", "removed_points", 0, "stratum"), "nowhere",

@@ -25,12 +25,12 @@ from blowup import random_blowup_graph
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
 
 DIGESTS = {
-    "example1": "fab75976c3d5a6db561bec1e5e7785ea7296a3a78d72d1b48b73ad06d7b33ad6",
+    "example1": "f36951f57796bce8a6cb99c3ba0f183e25b579004b6f67e57a544724eb39073a",
     "example2": "f6e726cb8dd92b655520f0e3522e2d9ea7d708f3847ab554fd21db9ff1a951c2",
-    "example2_oracle": "5822ba05b5664ac2399a7818ea7a63869d80a86b1f40f580a6f426bc30fdfd71",
+    "example2_oracle": "03381e86c82d418fe9773ab9b0a7a256b732711b609953bf4a11d34706ddcefa",
     "example3": "b0a3dcdb0c90975ef22de40487ae024fb3f20e9c3992410a3f53c1fc0b8694ed",
-    "node_curve": "4b7d618950a471c5c4391de253c63e8725ac8aa2c6c39a41a085a0c95d26cfdc",
-    "single_blowup": "f14b38b968cd2fde3c9980a0ffc3d9c1dc636b55099711e59c3073da149ac161",
+    "node_curve": "b73bd813f06e734344c810a4377b262b991543d403a37223bcadecc77fb1dfd1",
+    "single_blowup": "8368318057ae55edf2a258aa1d3b8f2caf300fe917f18e49c0ac2a7d230bbdf4",
     "fresh": "f0fc0b412501948f7ae94576acabda52d652047f617c75bee115a0ca8d45a64d",
 }
 
