@@ -318,7 +318,6 @@ DELETE = object()
      "extract.plan[1]: variable 9 out of range 1..3"),
     (("expected", "divisorial", 0, "coefficient"), "1",
      "expected.divisorial[0]: coefficient must be an integer"),
-    (("oracle", "order"), "3", "oracle.order: unexpected type str"),
     (("curve", "removed_points", 0, "stratum"), 9,
      "curve.removed_points[0]: no stratum 9"),
     (("curve", "removed_points", 0, "stratum"), "nowhere",
@@ -334,6 +333,7 @@ DELETE = object()
      "orbits[2]: orbit: removed counts do not align with components"),
     (("orbits", 2, "components"), [9],
      "orbits[2].components: [9] names a component not in the graph"),
+    (("oracle", "order"), "3", "oracle.order: unexpected type str"),
 ])
 def test_error_messages_name_the_whole_field_path(path, value, message):
     doc = example1_doc()
