@@ -116,20 +116,30 @@ def _parse_character(raw: str, ring):
     return ring.reduce(alpha)
 
 
-def _curve_series(job: Job, degree: int):
-    if job.curve is None:
-        raise JobError(f"job {job.name!r} has no curve section")
-    adjusted = curve_strata(job.model, job.curve.removed_points)
-    return curve_poincare(job.model, job.curve.branches, adjusted, degree)
+# what check calls each series kind's engine route
+_ENGINE = {"divisorial": "divisorial engine", "curve": "curve engine",
+           "extract": "quotient extraction"}
 
 
-def _extract_series(job: Job, degree: int):
-    if job.extract is None:
-        raise JobError(f"job {job.name!r} has no extract section")
-    try:
-        return quotient_extract(*plan_poincare(job.model, job.extract, degree))
-    except DivisibilityError as e:
-        raise JobError(f"extract.plan: {e}") from e
+def _routes(job: Job, degree: int) -> dict:
+    """Each series kind's engine route through ``degree``, as a call that
+    expands the series on first use and returns the same series after."""
+    def curve():
+        if job.curve is None:
+            raise JobError(f"job {job.name!r} has no curve section")
+        adjusted = curve_strata(job.model, job.curve.removed_points)
+        return curve_poincare(job.model, job.curve.branches, adjusted, degree)
+
+    def extract():
+        if job.extract is None:
+            raise JobError(f"job {job.name!r} has no extract section")
+        try:
+            return quotient_extract(*plan_poincare(job.model, job.extract, degree))
+        except DivisibilityError as e:
+            raise JobError(f"extract.plan: {e}") from e
+
+    return {"divisorial": functools.cache(lambda: divisorial_poincare(job.model, degree)),
+            "curve": functools.cache(curve), "extract": functools.cache(extract)}
 
 
 def _validation_lines(job: Job):
@@ -203,10 +213,7 @@ def cmd_validate(args, job: Job) -> int:
 
 
 def cmd_compute(args, job: Job) -> int:
-    if args.mode == "curve":
-        series = _curve_series(job, args.degree)
-    else:
-        series = divisorial_poincare(job.model, args.degree)
+    series = _routes(job, args.degree)[args.mode]()
     if args.character is not None:
         alpha = _parse_character(args.character, job.model.ring)
         series = restrict_to_character(series, alpha)
@@ -215,8 +222,7 @@ def cmd_compute(args, job: Job) -> int:
 
 
 def cmd_extract(args, job: Job) -> int:
-    series = _extract_series(job, args.degree)
-    _emit(series, args.format, args.output)
+    _emit(_routes(job, args.degree)["extract"](), args.format, args.output)
     return 0
 
 
@@ -229,43 +235,15 @@ def cmd_check(args, job: Job) -> int:
         print("check stopped: validation failed", file=sys.stderr)
         return 1
 
-    # each engine series is expanded on first use and shared by the
-    # comparisons that read it
-    divisorial = functools.cache(lambda: divisorial_poincare(job.model, degree))
-    curve = functools.cache(lambda: _curve_series(job, degree))
-    comparisons = []
-    if "divisorial" in job.expected:
-        comparisons.append(
-            ("divisorial engine vs expected factors",
-             divisorial,
-             lambda: job.expected_series("divisorial", degree))
-        )
-    if "curve" in job.expected:
-        comparisons.append(
-            ("curve engine vs expected factors",
-             curve,
-             lambda: job.expected_series("curve", degree))
-        )
-    if "extract" in job.expected:
-        comparisons.append(
-            ("quotient extraction vs expected factors",
-             lambda: _extract_series(job, degree),
-             lambda: job.expected_series("extract", degree))
-        )
-    if job.oracle is not None:
-        if job.oracle.sigma_x is not None:
-            comparisons.append(
-                ("divisorial engine vs monomial count",
-                 divisorial,
-                 lambda: oracle_poincare(job.oracle, job.model, degree))
-            )
-        if job.oracle.curve_axes is not None:
-            comparisons.append(
-                ("curve engine vs monomial count",
-                 curve,
-                 lambda: oracle_poincare(job.oracle, job.model, degree,
-                                         mode="curve"))
-            )
+    routes = _routes(job, degree)
+    comparisons = [(f"{_ENGINE[kind]} vs expected factors", routes[kind],
+                    lambda kind=kind: job.expected_series(kind, degree))
+                   for kind in routes if kind in job.expected]
+    mm = job.oracle
+    axes = {} if mm is None else {"divisorial": mm.sigma_x, "curve": mm.curve_axes}
+    comparisons += [(f"{_ENGINE[mode]} vs monomial count", routes[mode],
+                     lambda mode=mode: oracle_poincare(mm, job.model, degree, mode=mode))
+                    for mode, given in axes.items() if given is not None]
     if not comparisons:
         raise JobError(f"job {job.name!r} provides nothing to check against")
 
