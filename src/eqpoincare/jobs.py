@@ -40,6 +40,7 @@ class JobError(ValueError):
 _NULL = type(None)
 _ID_TYPES = {str, int}
 _INT_TYPE = {int}
+_TEXT = {str, _NULL}
 
 # How a value of the wrong type is worded, from the object's path ``where``,
 # the field's path ``at`` (its bare key at the top level), ``key``, the type
@@ -60,7 +61,7 @@ _INTEGER = "{where}: {key} must be an integer"
 # (types, item, message) rule of each of its items.  An id list words a bad
 # item with ``_ID``, any other list with ``message``.
 _SCHEMA = {
-    "job": (("name", None, None, False, None),
+    "job": (("name", _TEXT, None, False, _TYPE),
             ("ring", {dict}, "ring", True, _TYPE),
             ("graph", {dict}, "graph", True, _TYPE),
             ("chosen", {list}, _ID_TYPES, True, _IDS),
@@ -78,7 +79,7 @@ _SCHEMA = {
                   ("self_intersection", {int}, None, True, _TYPE)),
     "stratum": (("carrier", {list}, _ID_TYPES, True, _IDS),
                 ("chi", {int}, None, True, _TYPE),
-                ("label", None, None, False, None),
+                ("label", _TEXT, None, False, _TYPE),
                 ("degree", {int, _NULL}, None, False, _TYPE),
                 ("character", {dict, _NULL}, "character", False, _TYPE)),
     "character": (("exponents", {list}, _INT_TYPE, False, _INTS_HERE),
@@ -90,14 +91,14 @@ _SCHEMA = {
     "curve": (("branches", {list}, "branch", True, _TYPE),
               ("removed_points", {list, _NULL}, "removed_point", False, _TYPE)),
     "branch": (("attach", _ID_TYPES, None, True, _ID),
-               ("label", None, None, False, None)),
+               ("label", _TEXT, None, False, _TYPE)),
     "removed_point": (("stratum", {str, int}, None, True, _TYPE),
                       ("count", {int}, None, True, _TYPE),
                       ("degree", {int, _NULL}, None, False, _TYPE)),
     "extract": (("plan", {list}, "step", True, _TYPE),
                 ("compute_degree", None, None, False, None)),  # read by the benchmark only
     "step": (("variable", {int}, None, True, _TYPE),
-             ("drop", None, None, False, None),
+             ("drop", {bool, _NULL}, None, False, _TYPE),
              ("output", {int}, None, True, _TYPE),
              ("denominator", {int}, None, False, _INTEGER)),
     "oracle": (("curve_axes", {list, _NULL}, None, False, _TYPE),
@@ -194,6 +195,7 @@ def _parse_strata(items):
     strata = []
     for i, raw in enumerate(items):
         if (type(raw) is dict and len(raw) == 2 + ("label" in raw)
+                and type(raw.get("label")) in _TEXT
                 and type(carrier := raw.get("carrier")) is list and carrier
                 and _ID_TYPES.issuperset(map(type, carrier)) and type(raw.get("chi")) is int):
             strata.append(Stratum._make(  # the checks of Stratum.__new__ hold

@@ -25,13 +25,13 @@ from blowup import random_blowup_graph
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
 
 DIGESTS = {
-    "example1": "f36951f57796bce8a6cb99c3ba0f183e25b579004b6f67e57a544724eb39073a",
-    "example2": "f6e726cb8dd92b655520f0e3522e2d9ea7d708f3847ab554fd21db9ff1a951c2",
-    "example2_oracle": "03381e86c82d418fe9773ab9b0a7a256b732711b609953bf4a11d34706ddcefa",
-    "example3": "b0a3dcdb0c90975ef22de40487ae024fb3f20e9c3992410a3f53c1fc0b8694ed",
-    "node_curve": "b73bd813f06e734344c810a4377b262b991543d403a37223bcadecc77fb1dfd1",
-    "single_blowup": "8368318057ae55edf2a258aa1d3b8f2caf300fe917f18e49c0ac2a7d230bbdf4",
-    "fresh": "f0fc0b412501948f7ae94576acabda52d652047f617c75bee115a0ca8d45a64d",
+    "example1": "dc1007aad0f23881860ba1e9eaceaad1e48efe8566267ebbf74c2d3aedf777ad",
+    "example2": "8f509c83ab0960e79f547c8cca3ab854116fc67832fc2a76e1068958b3217e21",
+    "example2_oracle": "d9b410733fc8dfb6b883a5b97e7b861f620f9e2f1fb778b88862e703d53f99b6",
+    "example3": "2223e32547b9a1e836a5ef2c0623f6a7628b1f84eec84d6acf816c2ce603ff1e",
+    "node_curve": "f450236da2d96ca869d33bea72db661db2d730a3d32351d7609bdebf022d06a0",
+    "single_blowup": "754b6d02d8a237ab79625a76877474c910ce0fabd5ed7bb10c91d5403b126526",
+    "fresh": "1d863f73efb61ce823611016cbb1629aa8796c25f81697aa063ddd8d43090ee1",
 }
 
 _DELETE = object()
