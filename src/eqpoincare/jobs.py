@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import os
-import warnings
 from collections import namedtuple
 
 from .charring import CharacterRing
@@ -405,11 +404,9 @@ def parse_job(data: dict, name: str = "job") -> Job:
         if len(raw["weights"]) != 2:
             raise JobError("oracle.weights must be a pair")
         try:
-            with warnings.catch_warnings():  # validate and check print a line instead
-                warnings.simplefilter("ignore", RuntimeWarning)
-                oracle = MonomialModel(raw["order"], tuple(raw["weights"]), sigma_x=sigma_x,
-                                       sigma_y=sigma_y,
-                                       curve_axes=tuple(axes) if axes is not None else None)
+            oracle = MonomialModel(raw["order"], tuple(raw["weights"]), sigma_x=sigma_x,
+                                   sigma_y=sigma_y,
+                                   curve_axes=tuple(axes) if axes is not None else None)
         except ValueError as e:
             raise JobError(f"oracle: {e}") from e
         if tuple(oracle.ring().orders) != ring.orders:

@@ -54,7 +54,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import warnings
 from collections import Counter, namedtuple
 
 from .charring import cyclic_character_ring
@@ -93,10 +92,7 @@ class MonomialModel(namedtuple("MonomialModel",
             for ax in curve_axes:
                 if ax not in ("x=0", "y=0"):
                     raise OracleError(f"curve axis must be 'x=0' or 'y=0', got {ax!r}")
-        self = super().__new__(cls, order, (int(k), int(l)), sigma_x, sigma_y, curve_axes)
-        if self.unfaithful:  # stacklevel 2 names the caller of MonomialModel(...)
-            warnings.warn(f"weights {self.unfaithful}", RuntimeWarning, stacklevel=2)
-        return self
+        return super().__new__(cls, order, (int(k), int(l)), sigma_x, sigma_y, curve_axes)
 
     @property
     def unfaithful(self) -> str | None:

@@ -177,21 +177,12 @@ def test_oracle_validation():
         oracle_tables(z3_monomials(), model, 3, mode="nonsense")
 
 
-def test_unfaithful_weights_warn():
-    with pytest.warns(RuntimeWarning, match="share the factor"):
-        MonomialModel(order=4, weights=(2, 2), sigma_x=1, sigma_y=1)
-    # the trivial group never warns
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        MonomialModel(order=1, weights=(0, 0))
-
-
-def test_unfaithful_weights_warning_names_the_caller():
-    with pytest.warns(RuntimeWarning) as record:
-        MonomialModel(order=4, weights=(2, 2), sigma_x=1, sigma_y=1)
-    assert record[0].filename == __file__
+def test_unfaithful_weights_are_reported():
+    assert MonomialModel(order=4, weights=(2, 2), sigma_x=1, sigma_y=1).unfaithful == (
+        "(2, 2) share the factor 2 with the order 4; the action is not faithful on monomials")
+    assert MonomialModel(order=4, weights=(1, 2), sigma_x=1, sigma_y=1).unfaithful is None
+    # the trivial group is faithful whatever the weights
+    assert MonomialModel(order=1, weights=(0, 0)).unfaithful is None
 
 
 def triangle_monomials(mm, model, degree, mode="divisorial"):
