@@ -149,9 +149,6 @@ class CharElement:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, int):
             return CharElement(

@@ -179,20 +179,7 @@ class Series:
                 out[e] = out.get(e, zero) + c
         return Series(self.num_vars, bound, self.ring, out)
 
-    def __neg__(self):
-        return Series(self.num_vars, self.bound, self.ring,
-                      {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, (int, CharElement)):
-            c0 = self._accept_coeff(other)
-            return Series(self.num_vars, self.bound, self.ring,
-                          {e: c * c0 for e, c in self.terms.items()})
         if not isinstance(other, Series):
             return NotImplemented
         self._check_compatible(other)
