@@ -46,6 +46,7 @@ MUTANTS = [
     ("jobs.py", 'if (type(raw) is dict and len(raw) == 2 + ("label" in raw)',
      "if (type(raw) is dict"),
     ("jobs.py", "and any(exponent) and min(exponent) >= 0):", "and any(exponent)):"),
+    ("jobs.py", 'and type(raw.get("label")) in _TEXT', "and True"),
     ("jobs.py", "except StrataError as e:  # a Stratum's own check, worded by it",
      "except KeyError as e:"),
     # the loader's edge pairs
@@ -78,6 +79,16 @@ MUTANTS = [
     ("powerseries.py", "return [1] * (kmax + 1)", "return [1] * kmax"),
     # one-id carriers in the bookkeeping check
     ("strata.py", "if carrier.count(c) == len(carrier):", "if carrier.count(c) >= 1:"),
+    # the command line's route table, as check reads it
+    ("cli.py", "for kind in routes if kind in job.expected]", "for kind in routes]"),
+    ("cli.py", '(f"{_ENGINE[mode]} vs monomial count", routes[mode],',
+     '(f"{_ENGINE[mode]} vs monomial count", routes["divisorial"],'),
+    # the factor table, the plan's output weights and the character ring
+    ("engine.py", "rows.append((st, (m, resolve_character(model, st), -st.chi)))",
+     "rows.append((st, (m, resolve_character(model, st), st.chi)))"),
+    ("engine.py", "w[entry[0]] += mi * (lcm // entry[1])", "w[entry[0]] += mi * lcm"),
+    ("charring.py", "return tuple(e % m for e, m in zip(exponents, self.orders))",
+     "return tuple(e for e, m in zip(exponents, self.orders))"),
 ]
 
 
