@@ -123,7 +123,7 @@ _ENGINE = {"divisorial": "divisorial engine", "curve": "curve engine",
 
 def _routes(job: Job, degree: int) -> dict:
     """Each series kind's engine route through ``degree``, as a call that
-    expands the series on first use and returns the same series after."""
+    expands the series."""
     def curve():
         if job.curve is None:
             raise JobError(f"job {job.name!r} has no curve section")
@@ -138,8 +138,8 @@ def _routes(job: Job, degree: int) -> dict:
         except DivisibilityError as e:
             raise JobError(f"extract.plan: {e}") from e
 
-    return {"divisorial": functools.cache(lambda: divisorial_poincare(job.model, degree)),
-            "curve": functools.cache(curve), "extract": functools.cache(extract)}
+    return {"divisorial": lambda: divisorial_poincare(job.model, degree),
+            "curve": curve, "extract": extract}
 
 
 def _validation_lines(job: Job):
@@ -235,7 +235,8 @@ def cmd_check(args, job: Job) -> int:
         print("check stopped: validation failed", file=sys.stderr)
         return 1
 
-    routes = _routes(job, degree)
+    # each series is expanded on first use and shared by the comparisons that read it
+    routes = {kind: functools.cache(route) for kind, route in _routes(job, degree).items()}
     comparisons = [(f"{_ENGINE[kind]} vs expected factors", routes[kind],
                     lambda kind=kind: job.expected_series(kind, degree))
                    for kind in routes if kind in job.expected]
