@@ -10,16 +10,20 @@ cross-check for cyclic diagonal actions.
 
 from .charring import CharacterRing, CharElement, cyclic_character_ring
 from .engine import (
-    DimensionTable,
     augmented_series,
     curve_poincare,
     divisorial_poincare,
-    poincare_from_dimensions,
     quotient_extract,
     restrict_to_character,
 )
 from .jobs import Job, JobError, load_job, parse_job
-from .oracle import MonomialModel, oracle_poincare, oracle_whole_series
+from .oracle import (
+    DimensionTable,
+    MonomialModel,
+    oracle_poincare,
+    oracle_whole_series,
+    poincare_from_dimensions,
+)
 from .powerseries import (
     Series,
     SubstitutionPlan,

@@ -179,26 +179,22 @@ def _validation_lines(job: Job):
         return lines, ok
 
     def report(tag, rep):
-        nonlocal ok
         lines.extend(f"{tag}: {f}" for f in rep.findings)
-        good = not rep.findings
         for c in rep.checks:
-            good = good and c.ok
             lines.append(
                 f"{tag} orbit {list(c.components)}: chi sum {c.euler_sum}, "
                 f"expected {c.expected} [{'ok' if c.ok else 'MISMATCH'}]"
             )
-        ok = ok and good
-        return good
+        return rep.ok
 
-    divisor_ok = report("divisor", validate_strata(job.model, job.orbits))
+    divisor_ok = curve_ok = report("divisor", validate_strata(job.model, job.orbits))
     if job.curve is not None:
         curve = job.model._replace(strata=curve_strata(job.model, job.curve.removed_points))
         curve_ok = report("curve", validate_strata(curve, job.orbits, job.curve.branches))
         if divisor_ok and not curve_ok:
             lines.append("curve.removed_points: the points removed do not match "
                          "the branches; each orbit loses one per branch attached")
-    return lines, ok
+    return lines, ok and divisor_ok and curve_ok
 
 
 def cmd_validate(args, job: Job) -> int:

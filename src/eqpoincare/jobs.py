@@ -280,7 +280,7 @@ def _parse_expected_factors(items, where, ring_q):
 
 def parse_job(data: dict, name: str = "job") -> Job:
     _walk(data, "job", "job")
-    name = data.get("name", name)
+    name = name if data.get("name") is None else data["name"]  # null counts as absent
 
     _walk(data["ring"], "ring", "ring")
     try:

@@ -34,19 +34,27 @@ lengths of the lines, not the monomials, so it is linear in D wherever
 the valuations are dependent (one chosen component, or a repeated or
 parallel chosen set).
 
-The dimension route is kept as the reference the sum is tested
-against: :func:`oracle_tables` builds, per character, the table
-d(v) = dim J(v)/J(v+1) = C(v) - C(v + 1), with C(v) the number of
-monomials of weight componentwise >= v (the paper's definition read
-literally), and the engine's
-:func:`~eqpoincare.engine.poincare_from_dimensions` assembles the
-series from it.  On the box {-1..degree + 1}^s, w_j >= v_j reads only
-min(w_j, top) with top = degree + 2, so the weights are clamped to top,
-counted per character on {-1..top}^s and summed from above, one axis at
-a time.  Enumerating a, b <= top suffices: every monomial beyond has all
-clamped coordinates at top (divisorial weights are at least a + b in
-every coordinate; in the curve case every finite coordinate is a or b),
-so it lies in both C(v) and C(v + 1) and cancels.
+The dimension route reads the paper's definition literally and is kept
+as the reference the sum is tested against.  :func:`oracle_tables`
+builds, per character, the table d(v) = dim J(v)/J(v+1) = C(v) - C(v+1),
+with C(v) the number of monomials of weight componentwise >= v.  On the
+box {-1..degree + 1}^s, w_j >= v_j reads only min(w_j, top) with
+top = degree + 2, so the weights are clamped to top, counted per
+character on {-1..top}^s and summed from above, one axis at a time.
+Enumerating a, b <= top suffices: every monomial beyond has all clamped
+coordinates at top (divisorial weights are at least a + b in every
+coordinate; in the curve case every finite coordinate is a or b), so it
+lies in both C(v) and C(v + 1) and cancels.  Then
+:func:`poincare_from_dimensions` assembles the series from the tables
+d^a(v), one per character a, as
+
+    n = prod over j of (S_j - 1) d,     P(v) = P(v - 1) - n(v)
+
+with S_j d(v) = d(v - e_j) and d read as stabilized below the -1 plane
+in every coordinate: s passes x(v) <- x(v - e_j) - x(v), one per axis,
+then a running sum along the diagonals.  The assembled constant term
+must be 1 times the trivial character, which is the check that actually
+catches malformed tables.
 """
 
 from __future__ import annotations
@@ -56,8 +64,7 @@ import math
 import operator
 from collections import Counter, namedtuple
 
-from .charring import cyclic_character_ring
-from .engine import DimensionTable, poincare_from_dimensions
+from .charring import CharacterRing, cyclic_character_ring
 from .powerseries import Series
 from .strata import StratumModel
 
@@ -164,37 +171,6 @@ def _valuation(mm: MonomialModel, model: StratumModel, mode: str):
     return valuation, s, ring
 
 
-def oracle_tables(mm: MonomialModel, model: StratumModel, degree: int,
-                  mode: str = "divisorial") -> dict:
-    """Dimension tables d(v) = C(v) - C(v + 1) on the box {-1..degree+1}^s,
-    keyed by character exponent tuple."""
-    valuation, s, ring = _valuation(mm, model, mode)
-    box = degree + 1
-    top = box + 1  # w >= v on the box reads only min(w, top)
-    size = top + 2  # C lives on the flat lex grid {-1..top}^s
-    strides = [size ** (s - 1 - j) for j in range(s)]
-    counts = {alpha: [0] * size ** s for alpha in ring.characters()}
-    for a in range(top + 1):
-        for b in range(top + 1):
-            i = sum((min(x, top) + 1) * st for x, st in zip(valuation(a, b), strides))
-            counts[monomial_character(mm, a, b)][i] += 1
-    grid = itertools.product(range(-1, top + 1), repeat=s)
-    inner = [(i, v) for i, v in enumerate(grid) if top not in v]  # the box
-    step = sum(strides)  # flat offset from v to v + 1
-    tables = {}
-    for alpha, c in counts.items():
-        for _ in range(s):  # c(v) <- sum over u >= v, one axis per pass
-            # as in the engine's assembly, writing out the slices c[k::size]
-            # in order of k moves the last axis to the front
-            cols = [c[k::size] for k in range(size)]
-            for k in range(size - 2, -1, -1):
-                cols[k] = list(map(operator.add, cols[k], cols[k + 1]))
-            c = list(itertools.chain.from_iterable(cols))
-        tables[alpha] = DimensionTable(
-            s, box, {v: d for i, v in inner if (d := c[i] - c[i + step])})
-    return tables
-
-
 def oracle_poincare(mm: MonomialModel, model: StratumModel, degree: int,
                     mode: str = "divisorial") -> Series:
     """Equivariant series through ``degree`` as the sum of
@@ -227,6 +203,138 @@ def oracle_poincare(mm: MonomialModel, model: StratumModel, degree: int,
             if c:
                 table.setdefault(w, {})[alpha] = c
     return Series._adopt(s, degree, ring, table)
+
+
+class ConsistencyError(ValueError):
+    """The dimension tables cannot come from a genuine filtration."""
+
+
+class DimensionTable(namedtuple("DimensionTable", "num_vars box values")):
+    """Values d(v) >= 0 on the box {-1, ..., box}^num_vars, stored
+    sparsely with default 0.  Entries with a coordinate at -1 hold the
+    stabilized value of d in that direction."""
+
+    __slots__ = ()
+
+    def __new__(cls, num_vars: int, box: int, values: dict):
+        if num_vars < 1:
+            raise ValueError("dimension tables need at least one variable")
+        if box < 0:
+            raise ValueError("box bound must be >= 0")
+        clean = {}
+        for v, d in values.items():
+            v = tuple(v)
+            if len(v) != num_vars:
+                raise ValueError(f"entry {v} has wrong arity")
+            if any(x < -1 or x > box for x in v):
+                raise ValueError(f"entry {v} outside the box -1..{box}")
+            if not isinstance(d, int) or d < 0:
+                raise ValueError(f"dimension at {v} is {d!r}, not a count")
+            if d:
+                clean[v] = d
+        return super().__new__(cls, num_vars, box, clean)
+
+    def value(self, v) -> int:
+        """d at v, with coordinates below -1 clamped to the stabilized plane."""
+        key = tuple(max(x, -1) for x in v)
+        return self.values.get(key, 0)
+
+
+def oracle_tables(mm: MonomialModel, model: StratumModel, degree: int,
+                  mode: str = "divisorial") -> dict:
+    """Dimension tables d(v) = C(v) - C(v + 1) on the box {-1..degree+1}^s,
+    keyed by character exponent tuple."""
+    valuation, s, ring = _valuation(mm, model, mode)
+    box = degree + 1
+    top = box + 1  # w >= v on the box reads only min(w, top)
+    size = top + 2  # C lives on the flat lex grid {-1..top}^s
+    strides = [size ** (s - 1 - j) for j in range(s)]
+    counts = {alpha: [0] * size ** s for alpha in ring.characters()}
+    for a in range(top + 1):
+        for b in range(top + 1):
+            i = sum((min(x, top) + 1) * st for x, st in zip(valuation(a, b), strides))
+            counts[monomial_character(mm, a, b)][i] += 1
+    grid = itertools.product(range(-1, top + 1), repeat=s)
+    inner = [(i, v) for i, v in enumerate(grid) if top not in v]  # the box
+    step = sum(strides)  # flat offset from v to v + 1
+    tables = {}
+    for alpha, c in counts.items():
+        for _ in range(s):  # c(v) <- sum over u >= v, one axis per pass
+            # as in _single_character_series, writing out the slices c[k::size]
+            # in order of k moves the last axis to the front
+            cols = [c[k::size] for k in range(size)]
+            for k in range(size - 2, -1, -1):
+                cols[k] = list(map(operator.add, cols[k], cols[k + 1]))
+            c = list(itertools.chain.from_iterable(cols))
+        tables[alpha] = DimensionTable(
+            s, box, {v: d for i, v in inner if (d := c[i] - c[i + step])})
+    return tables
+
+
+def _single_character_series(table: DimensionTable, bound: int) -> dict:
+    s = table.num_vars
+    size = table.box + 2  # coordinates -1..box
+    grid = list(itertools.product(range(-1, table.box + 1), repeat=s))  # lex order
+    x = [table.values.get(v, 0) for v in grid]
+    for _ in range(s):  # x <- (S_j - 1) x for each axis j
+        # x[k::size] holds the points with last coordinate k; writing them out
+        # in order of k moves that axis to the front, so s passes treat every
+        # axis once and end in the original order
+        cols = [x[k::size] for k in range(size)]
+        x = [0] * len(cols[0])  # the -1 plane: d is stabilized below it
+        for lower, col in zip(cols, cols[1:]):
+            x += map(operator.sub, lower, col)
+    diagonal = sum(size ** j for j in range(s))  # flat offset from v - 1 to v
+    coeffs = {}
+    for i, v in enumerate(grid):  # v - 1 comes first; x becomes P in place
+        if min(v) < 0:
+            continue  # the first pass wrote n = 0 on every -1 plane
+        x[i] = p = x[i - diagonal] - x[i]
+        if p and sum(v) <= bound:
+            coeffs[v] = p
+    return coeffs
+
+
+def poincare_from_dimensions(tables, ring: CharacterRing | None, bound: int) -> Series:
+    """Assemble the Poincare series from per-character dimension tables.
+
+    ``tables`` maps character exponent tuples to
+    :class:`DimensionTable` (characters without a table contribute 0);
+    for an integer series pass ``ring=None`` and a single table keyed by
+    ``None``.  Every table box must reach at least bound + 1, otherwise
+    the differences at the boundary would read unknown values.
+    """
+    if ring is None and set(tables) != {None}:
+        raise ValueError("integer assembly expects exactly one table keyed None")
+    items = [(alpha if ring is None else ring.reduce(alpha), table)
+             for alpha, table in tables.items()]
+    if not items:
+        raise ValueError("no tables given")
+    if len({alpha for alpha, _ in items}) != len(items):
+        raise ValueError("two tables reduce to the same character")
+    num_vars = items[0][1].num_vars
+    for _, table in items:
+        if table.num_vars != num_vars:
+            raise ValueError("tables disagree on the number of variables")
+        if table.box < bound + 1:
+            raise ValueError(
+                f"table box {table.box} too small for degree {bound}; "
+                f"need at least {bound + 1}"
+            )
+    terms: dict = {}
+    for alpha, table in items:
+        for v, c in _single_character_series(table, bound).items():
+            c = c if ring is None else ring.monomial(alpha, c)
+            terms[v] = terms[v] + c if v in terms else c
+    series = Series(num_vars, bound, ring, terms)
+    origin = (0,) * num_vars
+    expected = 1 if ring is None else ring.one()
+    if series.coefficient(origin) != expected:
+        raise ConsistencyError(
+            f"constant term is {series.coefficient(origin)!r}, expected 1 times "
+            "the trivial character; the dimension tables are inconsistent"
+        )
+    return series
 
 
 def oracle_whole_series(mm: MonomialModel, model: StratumModel, degree: int,

@@ -83,6 +83,14 @@ MUTANTS = [
     ("cli.py", "for kind in routes if kind in job.expected]", "for kind in routes]"),
     ("cli.py", '(f"{_ENGINE[mode]} vs monomial count", routes[mode],',
      '(f"{_ENGINE[mode]} vs monomial count", routes["divisorial"],'),
+    # the dimension route: its table box, assembly checks and diagonal sum
+    ("oracle.py", "if any(x < -1 or x > box for x in v):", "if any(x < -1 for x in v):"),
+    ("oracle.py", "items = [(alpha if ring is None else ring.reduce(alpha), table)",
+     "items = [(alpha, table)"),
+    ("oracle.py", "if table.box < bound + 1:", "if table.box < bound:"),
+    ("oracle.py", "diagonal = sum(size ** j for j in range(s))", "diagonal = size ** (s - 1)"),
+    ("oracle.py", "if series.coefficient(origin) != expected:",
+     "if not series.coefficient(origin):"),
     # the factor table, the plan's output weights and the character ring
     ("engine.py", "rows.append((st, (m, resolve_character(model, st), -st.chi)))",
      "rows.append((st, (m, resolve_character(model, st), st.chi)))"),

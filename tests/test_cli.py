@@ -142,6 +142,14 @@ def test_compute_curve_needs_curve_section(capsys):
     assert "no curve section" in capsys.readouterr().err
 
 
+def test_a_null_name_falls_back_to_the_file_name(tmp_path, capsys):
+    doc = dict(SHIPPED["single_blowup"], name=None)
+    path = tmp_path / "single_blowup.json"
+    path.write_text(json.dumps(doc))
+    assert run("compute", path, "--degree", 5, "--mode", "curve") == 1
+    assert capsys.readouterr().err == "error: job 'single_blowup' has no curve section\n"
+
+
 def test_extract_to_file(tmp_path, capsys):
     out = tmp_path / "series.json"
     assert run("extract", JOBS / "example1.json", "--degree", 12,

@@ -3,17 +3,15 @@ from hypothesis import given, settings, strategies as st
 
 from eqpoincare.charring import CharacterRing
 from eqpoincare.engine import (
-    ConsistencyError,
-    DimensionTable,
     augmented_series,
     curve_poincare,
     divisorial_poincare,
     factors,
     plan_poincare,
-    poincare_from_dimensions,
     quotient_extract,
     restrict_to_character,
 )
+from eqpoincare.oracle import ConsistencyError, DimensionTable, poincare_from_dimensions
 from eqpoincare.powerseries import (
     Series,
     SubstitutionPlan,
@@ -206,6 +204,10 @@ def test_dimension_table_validation():
         DimensionTable(1, 3, {(4,): 1})
     with pytest.raises(ValueError, match="arity"):
         DimensionTable(2, 3, {(0,): 1})
+    with pytest.raises(ValueError, match="at least one variable"):
+        DimensionTable(0, 3, {})
+    with pytest.raises(ValueError, match="box bound"):
+        DimensionTable(1, -1, {})
 
 
 def test_restrict_and_augment():
@@ -224,6 +226,10 @@ def test_restrict_and_augment():
         part = restrict_to_character(p, alpha)
         summed = part if summed is None else summed + part
     assert summed == total
+    with pytest.raises(ValueError, match="already an integer series"):
+        restrict_to_character(total, ())
+    with pytest.raises(ValueError, match="already an integer series"):
+        augmented_series(total)
 
 
 def test_quotient_extract_takes_trivial_part_first():

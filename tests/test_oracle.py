@@ -1,7 +1,6 @@
 import math
 import random
 import time
-import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -16,12 +15,12 @@ from eqpoincare.engine import (
     augmented_series,
     curve_poincare,
     divisorial_poincare,
-    poincare_from_dimensions,
     restrict_to_character,
 )
 from eqpoincare.jobs import load_job
 from eqpoincare.oracle import (
     INF,
+    DimensionTable,
     MonomialModel,
     OracleError,
     _valuation,
@@ -29,6 +28,7 @@ from eqpoincare.oracle import (
     oracle_poincare,
     oracle_tables,
     oracle_whole_series,
+    poincare_from_dimensions,
 )
 from eqpoincare.powerseries import Series
 from eqpoincare.resolution import ResolutionGraph
@@ -101,6 +101,26 @@ def test_monomial_sum_matches_dimension_route(name, mode, degree):
     assert summed == assembled
     whole = oracle_whole_series(job.oracle, job.model, degree, mode=mode)
     assert whole == augmented_series(summed)
+
+
+def test_oracle_uses_nothing_from_the_product_route():
+    import eqpoincare.oracle
+    borrowed = [name for name, obj in vars(eqpoincare.oracle).items()
+                if getattr(obj, "__module__", None) == "eqpoincare.engine"]
+    assert borrowed == []
+
+
+@pytest.mark.parametrize("tables,ring,message", [
+    ({(0,): DimensionTable(1, 3, {(0,): 1})}, None, "exactly one table keyed None"),
+    ({}, CharacterRing((2,)), "no tables given"),
+    ({(0,): DimensionTable(1, 3, {(0,): 1}), (2,): DimensionTable(1, 3, {})},
+     CharacterRing((2,)), "reduce to the same character"),
+    ({(0,): DimensionTable(1, 3, {(0,): 1}), (1,): DimensionTable(2, 3, {})},
+     CharacterRing((2,)), "number of variables"),
+])
+def test_dimension_assembly_rejects_bad_arguments(tables, ring, message):
+    with pytest.raises(ValueError, match=message):
+        poincare_from_dimensions(tables, ring, 2)
 
 
 def test_whole_ring_is_augmentation():
@@ -223,9 +243,7 @@ def oracle_cases(draw, max_order=12, max_degree=40):
     else:
         fields = {"sigma_x": draw(component), "sigma_y": draw(component)}
         mode = "divisorial"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # unfaithful weights
-        mm = MonomialModel(order, weights, **fields)
+    mm = MonomialModel(order, weights, **fields)
     return mm, model, draw(st.integers(0, max_degree)), mode
 
 
