@@ -48,6 +48,21 @@ def factors(model: StratumModel, strata, targets) -> list:
     return [record for _, record in factor_rows(model, strata, targets)]
 
 
+def factor_powers(records, ring) -> dict:
+    """The ``expand`` records as ``{(m, l, c): total power}``, l reduced in
+    ``ring`` (None the trivial character) and c 1 when left out; records
+    with c = 0 and keys whose powers add to 0 are the factor 1 and left
+    out.  Records with equal maps expand to equal series at every degree."""
+    trivial = (0,) * ring.num_generators
+    total = {}
+    for m, l, power, *c in records:
+        c = c[0] if c else 1
+        if c:
+            key = (tuple(m), trivial if l is None else ring.reduce(l), c)
+            total[key] = total.get(key, 0) + power
+    return {key: power for key, power in total.items() if power}
+
+
 def divisorial_poincare(model: StratumModel, bound: int) -> Series:
     """Equivariant Poincare series of the multi-index divisorial
     filtration at the model's chosen components, through total degree

@@ -97,6 +97,16 @@ MUTANTS = [
     ("engine.py", "w[entry[0]] += mi * (lcm // entry[1])", "w[entry[0]] += mi * lcm"),
     ("charring.py", "return tuple(e % m for e, m in zip(exponents, self.orders))",
      "return tuple(e for e, m in zip(exponents, self.orders))"),
+    # check's factor-list comparison, its factor maps and the bookkeeping report
+    ("engine.py", "key = (tuple(m), trivial if l is None else ring.reduce(l), c)",
+     "key = (tuple(m), trivial if l is None else tuple(l), c)"),
+    ("engine.py", "key = (tuple(m), trivial if l is None else ring.reduce(l), c)",
+     "key = (tuple(m), trivial if l is None else ring.reduce(l))"),
+    ("engine.py", "return {key: power for key, power in total.items() if power}",
+     "return total"),
+    ("engine.py", "        if c:", "        if True:"),
+    ("cli.py", "same, diff = same_factors(kind), None", "same, diff = False, None"),
+    ("cli.py", "ok = ok and same", "ok = ok"),
 ]
 
 

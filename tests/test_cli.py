@@ -291,10 +291,11 @@ def test_check_expands_each_engine_series_once(monkeypatch, capsys):
     assert calls == [6]
     assert capsys.readouterr().out.count("divisorial engine vs") == 2
     # quotient extraction expands the factors in its own output variables
-    for name, degree in (("example1", 8), ("example2", 14), ("example3", 12)):
+    for name, degree, expanded in (("example1", 8, [8]), ("example2", 14, []),
+                                   ("example3", 12, [])):
         calls.clear()
         assert run("check", JOBS / f"{name}.json", "--degree", degree) == 0
-        assert calls == [degree]
+        assert calls == expanded
         out = capsys.readouterr().out
         assert "check quotient extraction vs expected factors: agree" in out
 
@@ -557,6 +558,76 @@ def test_negative_control_expected_factor(tmp_path, capsys):
     path = write_variant(tmp_path, perturb)
     assert run("check", path, "--degree", 6) == 2
     assert "FIRST DIFFERENCE" in capsys.readouterr().out
+
+
+def divisorial_only(doc):
+    """example1 with no oracle, curve or extract section: check makes the
+    one divisorial comparison."""
+    for key in ("oracle", "curve", "extract"):
+        del doc[key]
+    del doc["expected"]["curve"], doc["expected"]["extract"]
+
+
+def equal_factor_list(doc):
+    """example1's expected.divisorial, (1 - u t^(2,1,1))^-1 (1 - u^2 t^(1,1,2))^-1,
+    rewritten as an equal factor list in other records."""
+    divisorial_only(doc)
+    doc["expected"]["divisorial"] = [
+        {"character": [2], "exponent": [1, 1, 2], "power": -3},
+        {"character": [4], "exponent": [2, 1, 1], "power": -1},  # [4] is [1] mod 3
+        {"character": [2], "exponent": [1, 1, 2], "power": 2},
+        {"exponent": [3, 1, 1], "power": 0},
+        {"character": [1], "exponent": [1, 2, 1], "power": -2, "coefficient": 0},
+    ]
+
+
+def test_equal_factor_lists_agree_without_expanding(monkeypatch, tmp_path, capsys):
+    def unexpanded(*args):
+        raise AssertionError("a series was expanded")
+
+    monkeypatch.setattr(cli.Job, "expected_series", unexpanded)
+    monkeypatch.setattr(cli, "divisorial_poincare", unexpanded)
+    path = write_variant(tmp_path, equal_factor_list)
+    assert run("check", path, "--degree", 10**12) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == (
+        "check divisorial engine vs expected factors: agree through degree 1000000000000")
+    assert captured.err == ""
+
+
+def test_factor_lists_that_differ_past_the_degree_agree_by_expanding(monkeypatch, tmp_path,
+                                                                      capsys):
+    calls = []
+
+    def counted(model, bound):
+        calls.append(bound)
+        return divisorial_poincare(model, bound)
+
+    def beyond_six(doc):  # (1 - t^(5,1,1)) is 1 through degree 6
+        equal_factor_list(doc)
+        doc["expected"]["divisorial"].append({"exponent": [5, 1, 1], "power": 1})
+
+    monkeypatch.setattr(cli, "divisorial_poincare", counted)
+    path = write_variant(tmp_path, beyond_six)
+    assert run("check", path, "--degree", 6) == 0
+    assert calls == [6]
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "check divisorial engine vs expected factors: agree through degree 6")
+    assert run("check", path, "--degree", 7) == 2
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "check divisorial engine vs expected factors: FIRST DIFFERENCE at t^(5, 1, 1): "
+        "0 vs -1")
+
+
+def test_a_changed_coefficient_is_a_first_difference(tmp_path, capsys):
+    def negated(doc):
+        doc["expected"]["divisorial"][0]["coefficient"] = -1
+    path = write_variant(tmp_path, negated)
+    assert run("check", path, "--degree", 6) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if "FIRST DIFFERENCE" in line] == [
+        "check divisorial engine vs expected factors: FIRST DIFFERENCE at t^(2, 1, 1): "
+        "1*u^(1,) vs -1*u^(1,)"]
 
 
 def write_graph_job(tmp_path, components, edges, first):
