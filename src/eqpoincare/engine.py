@@ -5,13 +5,13 @@ characteristic, the factors
 
     (1 - u^l * t^m) ** (-chi)
 
-where l is the stratum character and m its multi-index weight vector at
-the chosen components (divisorial case) or at the branch attachment
-components (curve case).  Strata with chi = 0 drop out, so their
-characters are never needed.  :func:`factors` lists them as records
-(m, l, -chi), sorted graded-lex on m, then on l, and
-:func:`eqpoincare.powerseries.expand` multiplies them out, one pass per
-factor (its docstring has the passes).  No two series are ever multiplied.
+where l is the stratum character and m its multi-index weight vector at the
+chosen components (divisorial case) or at the branch attachment components
+(curve case).  Strata with chi = 0 drop out, so their characters are never
+needed.  :func:`factors` lists them as records (m, l, -chi), sorted graded-lex
+on m, then on l, and :func:`eqpoincare.powerseries.expand` multiplies them
+out, one pass per factor (its docstring has the passes).  The one part that
+``compute --character`` and ``extract`` print is :func:`character_part`, N / D.
 
 The monomial oracle, :mod:`eqpoincare.oracle`, computes the same series
 without this module, and keeps it honest.
@@ -20,8 +20,10 @@ without this module, and keeps it honest.
 from __future__ import annotations
 
 import math
+from itertools import islice
 
-from .powerseries import Series, SubstitutionPlan, expand, graded_lex_key, substitute_and_rescale
+from .powerseries import (Series, SubstitutionPlan, _binomials, _factors, expand, graded_lex_key,
+                          substitute_and_rescale)
 # the benchmark's tracer wraps engine.factor_power by name
 from .powerseries import factor_power  # noqa: F401
 from .strata import StratumModel, resolve_character, stratum_multiplicities
@@ -63,22 +65,63 @@ def factor_powers(records, ring) -> dict:
     return {key: power for key, power in total.items() if power}
 
 
-def divisorial_poincare(model: StratumModel, bound: int) -> Series:
-    """Equivariant Poincare series of the multi-index divisorial
-    filtration at the model's chosen components, through total degree
-    ``bound``."""
-    records = factors(model, model.strata, model.chosen)
-    return expand(records, len(model.chosen), bound, model.ring)
+def character_part(records, num_vars: int, bound: int, ring, alpha) -> Series:
+    """The integer series of ``expand(records, num_vars, bound, ring)`` at ``alpha``, as
+    N_alpha / D: with u^l of order n > 1, a factor (1 - c u^l t^m) ** p is N's (sum over j < n
+    of c^j u^(jl) t^(jm)) ** -p over D's (1 - c^n t^(nm)) ** p if p < 0, all N's if p > 0, and
+    all D's if n = 1.  Each of N's few terms at ``alpha`` adds a copy of D, expanded over Z."""
+    numerator, denominator = {((0,) * num_vars, (0,) * ring.num_generators): 1}, []
+    for m, l, c, power in _factors(records, num_vars):
+        step, l = sum(m), ring.reduce([0] * ring.num_generators if l is None else l)
+        n = math.lcm(*(k // math.gcd(x, k) for x, k in zip(l, ring.orders)))
+        if n == 1 or not power or not c or step > bound:
+            denominator.append((m, None, power, c))
+            continue
+        top = bound // step if power > 0 else min(bound // step, (n - 1) * -power)
+        coeffs = _binomials(power, top)  # of (1 - x) ** p, x = c u^l t^m, each without its c^k
+        if power < 0:  # N's sum ** |p| is (1 - x^n) ** |p| (1 - x) ** p, of degree (n - 1) |p|
+            denominator.append((tuple(n * x for x in m), None, power, c ** n))
+            coeffs = [sum(b * coeffs[k - n * i] for i, b in enumerate(_binomials(-power, k // n)))
+                      for k in range(top + 1)]
+        product = {}
+        for (e, ch), x in numerator.items():
+            for k in range(min(len(coeffs), (bound - sum(e)) // step + 1)):
+                key = (tuple(a + k * b for a, b in zip(e, m)),
+                       ring.reduce([a + k * b for a, b in zip(ch, l)]))
+                product[key] = product.get(key, 0) + coeffs[k] * c ** k * x
+        numerator = product
+    shifts = {e: x for (e, ch), x in numerator.items() if ch == ring.reduce(alpha) and x}
+    d = expand(sorted(denominator, key=lambda r: graded_lex_key(r[0])), num_vars, bound)
+    table, degrees, buckets = {}, {}, d._degrees or {}
+    for s, a in shifts.items():  # a copy is a few whole-list passes, in degree order
+        fit = [deg for deg in sorted(buckets) if deg + sum(s) <= bound]
+        vs = [v for deg in fit for v in buckets[deg]]
+        ws = list(zip(*[map(x.__add__, col) for col, x in zip(zip(*vs), s)]))
+        if d._degrees is None or not table.keys().isdisjoint(ws):  # terms may add or cancel
+            return d * Series(num_vars, bound, None, shifts)
+        table.update(zip(ws, [a * d._table[v] for v in vs]))
+        run = iter(ws)
+        for deg in fit:
+            degrees.setdefault(deg + sum(s), []).extend(islice(run, len(buckets[deg])))
+    return Series._adopt(num_vars, bound, None, table, degrees)
+
+
+def divisorial_poincare(model: StratumModel, bound: int, alpha=None) -> Series:
+    """Equivariant Poincare series of the multi-index divisorial filtration
+    at the model's chosen components, through total degree ``bound``; with
+    ``alpha``, the integer series of its part at that character."""
+    records, k = factors(model, model.strata, model.chosen), len(model.chosen)
+    return (expand(records, k, bound, model.ring) if alpha is None
+            else character_part(records, k, bound, model.ring, alpha))
 
 
 def plan_poincare(model: StratumModel, plan: SubstitutionPlan, degree: int):
-    """The divisorial series with ``plan`` applied to every factor, and the
-    plan that rescales it: :func:`quotient_extract` of the pair is exact
-    through output ``degree``.  With L the lcm of the kept denominators, a
-    weight m becomes w_j = sum of m_i * L / den_i over the inputs sent to
-    output j.  Entries of m are >= 1 and a variable is kept, so |w| >= 1 and
-    total degree ``degree * L`` holds every term of output degree <= ``degree``.
-    """
+    """The trivial-character part of the divisorial series with ``plan``
+    applied to every factor, and the plan that rescales it: :func:`quotient_extract`
+    of the pair is exact through output ``degree``.  With L the lcm of the kept
+    denominators, a weight m becomes w_j = sum of m_i * L / den_i over the inputs
+    sent to output j.  Entries of m are >= 1 and a variable is kept, so |w| >= 1
+    and total degree ``degree * L`` holds every term of output degree <= ``degree``."""
     lcm = math.lcm(*(e[1] for e in plan.entries if e is not None))
     k = plan.num_outputs
     records = []
@@ -88,12 +131,13 @@ def plan_poincare(model: StratumModel, plan: SubstitutionPlan, degree: int):
             if entry is not None:
                 w[entry[0]] += mi * (lcm // entry[1])
         records.append((tuple(w), l, power))
-    rescale = SubstitutionPlan(tuple((j, lcm) for j in range(k)))
-    return expand(records, k, degree * lcm, model.ring), rescale
+    series = character_part(records, k, degree * lcm, model.ring, (0,) * len(model.ring.orders))
+    return series, SubstitutionPlan(tuple((j, lcm) for j in range(k)))
 
 
-def curve_poincare(model: StratumModel, branches, adjusted_strata, bound: int) -> Series:
-    """Equivariant Poincare series of the curve-valuation filtration.
+def curve_poincare(model: StratumModel, branches, adjusted_strata, bound: int,
+                   alpha=None) -> Series:
+    """Equivariant Poincare series of the curve-valuation filtration, or its part at ``alpha``.
 
     ``adjusted_strata`` are the divisor strata with the strict-transform
     points already removed (see :func:`eqpoincare.strata.curve_strata`);
@@ -102,14 +146,13 @@ def curve_poincare(model: StratumModel, branches, adjusted_strata, bound: int) -
     product: the constant series 1 in zero variables.
     """
     branches = tuple(branches)
-    if not branches:
-        return Series.one(0, bound, model.ring)
     known = model.graph.id_index
     for b in branches:
         if b.attach not in known:
             raise EngineError(f"branch attaches to unknown component {b.attach!r}")
-    records = factors(model, adjusted_strata, [b.attach for b in branches])
-    return expand(records, len(branches), bound, model.ring)
+    records = factors(model, adjusted_strata, [b.attach for b in branches]) if branches else []
+    return (expand(records, len(branches), bound, model.ring) if alpha is None
+            else character_part(records, len(branches), bound, model.ring, alpha))
 
 
 def _integer_part(series: Series, part) -> Series:
@@ -139,6 +182,5 @@ def quotient_extract(series: Series, plan: SubstitutionPlan) -> Series:
     """Poincare series of the quotient data: take the trivial-character
     part coefficientwise, then drop and rescale variables by the plan."""
     if series.ring is not None:
-        trivial = (0,) * series.ring.num_generators
-        series = _integer_part(series, lambda parts: parts.get(trivial, 0))
+        series = restrict_to_character(series, (0,) * series.ring.num_generators)
     return substitute_and_rescale(series, plan)

@@ -446,7 +446,7 @@ def load_job(path) -> Job:
             data = json.load(fh)
     except OSError as e:
         raise JobError(f"cannot read job file {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # too deep to decode is not valid either
         raise JobError(f"job file {path} is not valid JSON: {e}") from e
     default = os.path.splitext(os.path.basename(str(path)))[0]
     return parse_job(data, name=default)

@@ -531,10 +531,10 @@ def substitute_and_rescale(series: Series, plan: SubstitutionPlan) -> Series:
     output total degree D pulls back from kept-variable degree at most
     D * max_denominator.  A plan that drops variables backs that bound only
     for input expanded deep enough in the dropped directions too; the
-    package's own extraction passes none (it substitutes into the factors
-    first, :func:`eqpoincare.engine.plan_poincare`).  Exponents of kept
-    variables must divide exactly; anything else would silently corrupt
-    the result, so it raises :class:`DivisibilityError`.
+    package's own extraction passes none (:func:`eqpoincare.engine.plan_poincare`
+    substitutes into the factors and takes their trivial part as N / D first).
+    Exponents of kept variables must divide exactly; anything else would
+    silently corrupt the result, so it raises :class:`DivisibilityError`.
     """
     if plan.num_inputs != series.num_vars:
         raise PlanError(

@@ -107,6 +107,18 @@ MUTANTS = [
     ("engine.py", "        if c:", "        if True:"),
     ("cli.py", "same, diff = same_factors(kind), None", "same, diff = False, None"),
     ("cli.py", "ok = ok and same", "ok = ok"),
+    # one character's part as N / D: the order of u^l, D's coefficient, the
+    # part kept, the length and power of N's sums, c^k, and copies of D that meet
+    ("engine.py", "n = math.lcm(*(k // math.gcd(x, k) for x, k in zip(l, ring.orders)))",
+     "n = math.lcm(*(k // math.gcd(x, k) for x, k in zip(l, ring.orders))) + 1"),
+    ("engine.py", "None, power, c ** n))", "None, power, c))"),
+    ("engine.py", "if ch == ring.reduce(alpha) and x}", "if not any(ch) and x}"),
+    ("engine.py", "min(bound // step, (n - 1) * -power)", "min(bound // step, (n - 2) * -power)"),
+    ("engine.py", "enumerate(_binomials(-power, k // n))", "enumerate(_binomials(1, k // n))"),
+    ("engine.py", "product.get(key, 0) + coeffs[k] * c ** k * x",
+     "product.get(key, 0) + coeffs[k] * x"),
+    ("engine.py", "if d._degrees is None or not table.keys().isdisjoint(ws):",
+     "if d._degrees is None:"),
 ]
 
 
