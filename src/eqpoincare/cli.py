@@ -9,6 +9,10 @@ Subcommands operate on a job file (see the jobs module for the schema):
     eqpoincare check JOB --degree N
     eqpoincare explain JOB
 
+The parser names each subcommand's handler (``extract`` runs ``compute``'s,
+as the ``extract`` kind), which gets the job and the strata and targets
+of its product kinds, built once per command by :func:`_factor_tables`.
+
 Exit codes: 0 success, 1 input or validation failure (running out of
 memory included), 2 a comparison in ``check`` found a difference.
 """
@@ -55,36 +59,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, degree=True):
+    def add_command(name, handler, summary, degree=True):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         p.add_argument("job", help="path to a JSON job file")
         if degree:
             p.add_argument("--degree", type=int, required=True,
                            help="total degree to compute through")
+        return p
 
-    p = sub.add_parser("validate", help="run structural and bookkeeping checks")
-    add_common(p, degree=False)
-
-    p = sub.add_parser("compute", help="compute a Poincare series")
-    add_common(p)
-    p.add_argument("--mode", choices=("divisorial", "curve"),
-                   default="divisorial")
-    p.add_argument("--character", default=None, metavar="a,b,...",
-                   help="restrict to one character (comma separated exponents)")
-    p.add_argument("--format", choices=("text", "machine"), default="text")
-    p.add_argument("--output", default=None, help="write to a file instead of stdout")
-
-    p = sub.add_parser("extract", help="series of the quotient curve via the "
-                                       "substitution plan of the job")
-    add_common(p)
-    p.add_argument("--format", choices=("text", "machine"), default="text")
-    p.add_argument("--output", default=None, help="write to a file instead of stdout")
-
-    p = sub.add_parser("check", help="compare every route the job provides")
-    add_common(p)
-
-    p = sub.add_parser("explain", help="list the factors (1 - u^l t^m)^(-chi) "
-                                       "the product route expands")
-    add_common(p, degree=False)
+    add_command("validate", cmd_validate, "run structural and bookkeeping checks", degree=False)
+    compute = add_command("compute", cmd_compute, "compute a Poincare series")
+    compute.add_argument("--mode", choices=("divisorial", "curve"), default="divisorial")
+    compute.add_argument("--character", default=None, metavar="a,b,...",
+                         help="restrict to one character (comma separated exponents)")
+    extract = add_command("extract", cmd_compute, "series of the quotient curve via the "
+                                                  "substitution plan of the job")
+    extract.set_defaults(mode="extract", character=None)  # compute's extract kind
+    for p in (compute, extract):
+        p.add_argument("--format", choices=("text", "machine"), default="text")
+        p.add_argument("--output", default=None, help="write to a file instead of stdout")
+    add_command("check", cmd_check, "compare every route the job provides")
+    add_command("explain", cmd_explain, "list the factors (1 - u^l t^m)^(-chi) "
+                                        "the product route expands", degree=False)
     return parser
 
 
@@ -124,14 +121,24 @@ _ENGINE = {"divisorial": "divisorial engine", "curve": "curve engine",
            "extract": "quotient extraction"}
 
 
-def _routes(job: Job, degree: int, *alpha) -> dict:
+def _factor_tables(job: Job) -> dict:
+    """The strata and targets whose factors the divisorial and the curve
+    route expand, by series kind: the one place a command builds them."""
+    tables = {"divisorial": (job.model.strata, job.model.chosen)}
+    if job.curve is not None:
+        tables["curve"] = (curve_strata(job.model, job.curve.removed_points),
+                           [b.attach for b in job.curve.branches])
+    return tables
+
+
+def _routes(job: Job, tables: dict, degree: int, *alpha) -> dict:
     """Each series kind's engine route through ``degree``, as a call that
-    expands the series, or a product route's part at a character ``alpha``."""
+    expands the series, or a product route's part at a character ``alpha``;
+    the curve route reads its strata from ``tables``."""
     def curve():
         if job.curve is None:
             raise JobError(f"job {job.name!r} has no curve section")
-        adjusted = curve_strata(job.model, job.curve.removed_points)
-        return curve_poincare(job.model, job.curve.branches, adjusted, degree, *alpha)
+        return curve_poincare(job.model, job.curve.branches, tables["curve"][0], degree, *alpha)
 
     def extract():
         if job.extract is None:
@@ -145,29 +152,20 @@ def _routes(job: Job, degree: int, *alpha) -> dict:
             "curve": curve, "extract": extract}
 
 
-def _factor_tables(job: Job) -> dict:
-    """The strata and targets whose factors the divisorial and the curve
-    route expand, by series kind."""
-    tables = {"divisorial": (job.model.strata, job.model.chosen)}
-    if job.curve is not None:
-        tables["curve"] = (curve_strata(job.model, job.curve.removed_points),
-                           [b.attach for b in job.curve.branches])
-    return tables
-
-
-def _validation_lines(job: Job):
+def _validation_lines(job: Job, tables: dict):
     """Structural checks beyond what loading already enforced.
 
     Returns (lines, ok).  Loading has already checked the graph's shape
     and built its multiplicity matrix, which blows it down to its first
-    component.  Then the character of every stratum with chi != 0 is
-    resolved, as the product formula needs it, and the chi-weighted
-    bookkeeping per component orbit is checked, for the divisor and, when
-    a curve section is present, for the divisor with strict-transform
-    points removed, whose orbits lose one point per branch attached.  A
-    curve check that fails where the divisor's holds names
-    ``curve.removed_points``.  Unfaithful oracle weights get a line but do
-    not fail.
+    component.  Then the character of every stratum that a table of
+    ``tables`` gives chi != 0 is resolved, as the product formula needs it
+    (a removed point gives a stratum with chi 0 on the divisor a factor of
+    the curve series), and the chi-weighted bookkeeping per component orbit
+    is checked for each table's strata: the divisor's and, when a curve
+    section is present, the divisor's with strict-transform points removed,
+    whose orbits lose one point per branch attached.  A curve check that
+    fails where the divisor's holds names ``curve.removed_points``.
+    Unfaithful oracle weights get a line but do not fail.
     """
     lines = []
     ok = True
@@ -176,8 +174,9 @@ def _validation_lines(job: Job):
         f"graph: {len(graph.components)} components, blows down to "
         f"{graph.first_blown_up!r}"
     )
-    for st in job.model.strata:
-        if st.chi != 0:
+    divisor, curve = tables["divisorial"][0], tables.get("curve", tables["divisorial"])[0]
+    for st, on_curve in zip(divisor, curve):  # a stratum and its curve version
+        if st.chi or on_curve.chi:
             try:
                 resolve_character(job.model, st)
             except StrataError as e:
@@ -205,47 +204,45 @@ def _validation_lines(job: Job):
 
     divisor_ok = curve_ok = report("divisor", validate_strata(job.model, job.orbits))
     if job.curve is not None:
-        curve = job.model._replace(strata=curve_strata(job.model, job.curve.removed_points))
-        curve_ok = report("curve", validate_strata(curve, job.orbits, job.curve.branches))
+        model = job.model._replace(strata=curve)
+        curve_ok = report("curve", validate_strata(model, job.orbits, job.curve.branches))
         if divisor_ok and not curve_ok:
             lines.append("curve.removed_points: the points removed do not match "
                          "the branches; each orbit loses one per branch attached")
     return lines, ok and divisor_ok and curve_ok
 
 
-def cmd_validate(args, job: Job) -> int:
-    lines, ok = _validation_lines(job)
+def _validated(job: Job, tables: dict, failure: str) -> bool:
+    """Print the validation lines, and ``failure`` to stderr if they fail."""
+    lines, ok = _validation_lines(job, tables)
     for line in lines:
         print(line)
     if not ok:
-        print("validation failed", file=sys.stderr)
+        print(failure, file=sys.stderr)
+    return ok
+
+
+def cmd_validate(args, job: Job, tables: dict) -> int:
+    if not _validated(job, tables, "validation failed"):
         return 1
     print("validation ok")
     return 0
 
 
-def cmd_compute(args, job: Job) -> int:
+def cmd_compute(args, job: Job, tables: dict) -> int:
+    """``compute``, and ``extract`` as its ``extract`` kind."""
     alpha = () if args.character is None else (_parse_character(args.character, job.model.ring),)
-    _emit(_routes(job, args.degree, *alpha)[args.mode](), args.format, args.output)
+    _emit(_routes(job, tables, args.degree, *alpha)[args.mode](), args.format, args.output)
     return 0
 
 
-def cmd_extract(args, job: Job) -> int:
-    _emit(_routes(job, args.degree)["extract"](), args.format, args.output)
-    return 0
-
-
-def cmd_check(args, job: Job) -> int:
+def cmd_check(args, job: Job, tables: dict) -> int:
     degree = args.degree
-    lines, ok = _validation_lines(job)
-    for line in lines:
-        print(line)
-    if not ok:
-        print("check stopped: validation failed", file=sys.stderr)
+    if not _validated(job, tables, "check stopped: validation failed"):
         return 1
 
     # each series is expanded on first use and shared by the comparisons that read it
-    routes = {kind: functools.cache(route) for kind, route in _routes(job, degree).items()}
+    routes = {kind: functools.cache(call) for kind, call in _routes(job, tables, degree).items()}
     comparisons = [(f"{_ENGINE[kind]} vs expected factors", routes[kind],
                     lambda kind=kind: job.expected_series(kind, degree), kind)
                    for kind in routes if kind in job.expected]
@@ -257,7 +254,6 @@ def cmd_check(args, job: Job) -> int:
     if not comparisons:
         raise JobError(f"job {job.name!r} provides nothing to check against")
 
-    tables = _factor_tables(job)
     ring = job.model.ring
 
     def same_factors(kind):
@@ -286,8 +282,8 @@ def cmd_check(args, job: Job) -> int:
     return 0
 
 
-def cmd_explain(args, job: Job) -> int:
-    for kind, (strata, targets) in _factor_tables(job).items():
+def cmd_explain(args, job: Job, tables: dict) -> int:
+    for kind, (strata, targets) in tables.items():
         print(f"{kind} factors (1 - u^l t^m)^(-chi), t indexed by {list(targets)}:")
         for st, (m, l, _) in factor_rows(job.model, strata, targets):
             print(f"  label={st.label!r} carrier={list(st.carrier)} chi={st.chi} "
@@ -303,18 +299,11 @@ def main(argv=None) -> int:
         # argparse exits itself on usage errors and --help; fold the error
         # case into the documented input-error code
         return 0 if e.code == 0 else 1
-    handlers = {
-        "validate": cmd_validate,
-        "compute": cmd_compute,
-        "extract": cmd_extract,
-        "check": cmd_check,
-        "explain": cmd_explain,
-    }
     try:
         job = load_job(args.job)
         if "degree" in args and args.degree < 0:
             raise JobError("--degree must be >= 0")
-        code = handlers[args.command](args, job)
+        code = args.handler(args, job, _factor_tables(job))
         sys.stdout.flush()
         return code
     except ValueError as e:

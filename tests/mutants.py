@@ -83,6 +83,15 @@ MUTANTS = [
     ("cli.py", "for kind in routes if kind in job.expected]", "for kind in routes]"),
     ("cli.py", '(f"{_ENGINE[mode]} vs monomial count", routes[mode],',
      '(f"{_ENGINE[mode]} vs monomial count", routes["divisorial"],'),
+    # one factor table per command: the curve route's strata, the characters
+    # validation resolves, extract as compute's kind, and the printed report
+    ("cli.py", 'curve_poincare(job.model, job.curve.branches, tables["curve"][0], degree, *alpha)',
+     'curve_poincare(job.model, job.curve.branches, tables["divisorial"][0], degree, *alpha)'),
+    ("cli.py", "if st.chi or on_curve.chi:", "if st.chi:"),
+    ("cli.py", 'extract.set_defaults(mode="extract", character=None)',
+     'extract.set_defaults(mode="divisorial", character=None)'),
+    ("cli.py", "model = job.model._replace(strata=curve)", "model = job.model"),
+    ("cli.py", "        print(failure, file=sys.stderr)", "        pass"),
     # the dimension route: its table box, assembly checks and diagonal sum
     ("oracle.py", "if any(x < -1 or x > box for x in v):", "if any(x < -1 for x in v):"),
     ("oracle.py", "items = [(alpha if ring is None else ring.reduce(alpha), table)",

@@ -884,6 +884,120 @@ def test_a_huge_power_takes_no_longer_than_the_degree(name, mutate, command, cod
         assert "vs -1000000000000*u^(1,)" in out
 
 
+def test_validate_resolves_the_characters_the_curve_needs(tmp_path, capsys):
+    # 'last open' has chi 0 on the divisor and no character; the removed
+    # point gives it chi -1, and so a factor, on the curve
+    path = write_variant(tmp_path,
+                         lambda d: d["curve"]["removed_points"][0].update(stratum="last open"))
+    message = "stratum 'last open': no character given and nothing to derive it from"
+    assert run("validate", path) == 1
+    out, err = capsys.readouterr()
+    assert f"\nstrata: {message}\n" in out
+    assert "characters resolve" not in out
+    assert err == "validation failed\n"
+    assert run("check", path, "--degree", 4) == 1
+    out, err = capsys.readouterr()
+    assert f"\nstrata: {message}\n" in out
+    assert "agree" not in out
+    assert err == "check stopped: validation failed\n"
+    assert run("compute", path, "--degree", 3, "--mode", "curve") == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_each_command_builds_the_curve_strata_once(monkeypatch, capsys):
+    calls = []
+    build = cli.curve_strata
+    monkeypatch.setattr(cli, "curve_strata", lambda *a: calls.append(a) or build(*a))
+    for name in ("example1", "node_curve"):
+        for argv in (["validate"], ["explain"], ["check", "--degree", 8],
+                     ["compute", "--degree", 8, "--mode", "curve"]):
+            calls.clear()
+            assert run(argv[0], JOBS / f"{name}.json", *argv[1:]) == 0
+            assert len(calls) == 1, (name, argv)
+
+
+@st.composite
+def validated_jobs(draw):
+    """A shipped job with one field changed as in ``mutated_runs``, or
+    with a removed point moved to another stratum."""
+    if draw(st.booleans()):
+        return draw(mutated_runs())[0]
+    doc = copy.deepcopy(SHIPPED[draw(st.sampled_from(
+        [name for name in sorted(SHIPPED) if "curve" in SHIPPED[name]]))])
+    point = draw(st.sampled_from(doc["curve"]["removed_points"]))
+    point["stratum"] = draw(st.sampled_from(
+        [s["label"] for s in doc["strata"] if s["label"] != point["stratum"]]))
+    return doc
+
+
+@seed(44)
+@settings(max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(validated_jobs())
+def test_a_job_that_validates_also_explains_and_computes(tmp_path, doc):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        if cli.main(["validate", str(path)]) != 0:
+            return
+        assert cli.main(["explain", str(path)]) == 0, err.getvalue()
+        modes = ["divisorial"] + (["curve"] if load_job(path).curve is not None else [])
+        for mode in modes:
+            assert cli.main(["compute", str(path), "--degree", "3", "--mode", mode]) == 0, \
+                (mode, err.getvalue())
+
+
+# the options each command takes, beside the job
+OPTIONS = {"validate": (), "explain": (), "check": ("--degree",),
+           "compute": ("--degree", "--mode", "--character", "--format", "--output"),
+           "extract": ("--degree", "--format", "--output")}
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """One command on a shipped job, each of its options present or not,
+    with values good and bad, and now and then a flag no command has.
+    Degrees stop at 12: a huge one waits on a work budget."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    argv = [command, str(JOBS / f"{draw(st.sampled_from(sorted(SHIPPED)))}.json")]
+    values = {
+        "--degree": st.integers(-2, 12),
+        "--mode": st.sampled_from(["divisorial", "curve", "neither"]),
+        "--character": st.lists(st.integers(-3, 3) | st.sampled_from([10**30, -10**30]),
+                                max_size=3).map(lambda xs: ",".join(map(str, xs))),
+        "--format": st.sampled_from(["text", "machine"]),
+        "--output": st.sampled_from(["{tmp}/series.out", "{tmp}/missing/series.out"]),
+    }
+    for option in OPTIONS[command]:
+        if option == "--degree" or draw(st.booleans()):
+            argv.append(f"{option}={draw(values[option])}")
+    if draw(st.sampled_from(range(10))) == 9:
+        argv.append("--verbose")
+    return argv
+
+
+@seed(27)
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fuzzed_argv())
+def test_any_argv_exits_with_a_documented_code_and_message(tmp_path, argv):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err, (argv, err)
+    if code == 0:
+        assert err == "", (argv, err)
+    elif code == 1:
+        last = err.splitlines()[-1]
+        usage = err.startswith("usage: ") and last.startswith(("eqpoincare: error: ",
+                                                               f"eqpoincare {argv[0]}: error: "))
+        assert last.startswith("error: ") or last.endswith(" failed") or usage, (argv, err)
+
+
 def test_validate_output_does_not_depend_on_the_string_hash_seed(tmp_path):
     with open(JOBS / "example3.json") as fh:
         doc = json.load(fh)
