@@ -34,7 +34,6 @@ from .powerseries import (
     render_machine,
     render_text,
     series_eq_upto,
-    substitute_and_rescale,
 )
 from .resolution import ResolutionGraph
 from .strata import (
@@ -83,7 +82,6 @@ __all__ = [
     "render_text",
     "restrict_to_character",
     "series_eq_upto",
-    "substitute_and_rescale",
     "validate_strata",
     "__version__",
 ]

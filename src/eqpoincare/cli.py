@@ -30,7 +30,6 @@ from .engine import (
     factor_powers,
     factor_rows,
     factors,
-    plan_poincare,
     quotient_extract,
 )
 # the benchmark's tracer wraps cli.restrict_to_character by name
@@ -144,7 +143,7 @@ def _routes(job: Job, tables: dict, degree: int, *alpha) -> dict:
         if job.extract is None:
             raise JobError(f"job {job.name!r} has no extract section")
         try:
-            return quotient_extract(*plan_poincare(job.model, job.extract, degree))
+            return quotient_extract(job.model, job.extract, degree)
         except DivisibilityError as e:
             raise JobError(f"extract.plan: {e}") from e
 

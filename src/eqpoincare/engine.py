@@ -12,6 +12,9 @@ needed.  :func:`factors` lists them as records (m, l, -chi), sorted graded-lex
 on m, then on l, and :func:`eqpoincare.powerseries.expand` multiplies them
 out, one pass per factor (its docstring has the passes).  The one part that
 ``compute --character`` and ``extract`` print is :func:`character_part`, N / D.
+:func:`quotient_extract`, the one extraction route, applies a substitution plan
+to the factors, takes their trivial-character part and divides its exponents by
+the plan's lcm in one pass.
 
 The monomial oracle, :mod:`eqpoincare.oracle`, computes the same series
 without this module, and keeps it honest.
@@ -22,8 +25,8 @@ from __future__ import annotations
 import math
 from itertools import islice
 
-from .powerseries import (Series, SubstitutionPlan, _binomials, _factors, expand, graded_lex_key,
-                          substitute_and_rescale)
+from .powerseries import (DivisibilityError, Series, SubstitutionPlan, _binomials, _factors,
+                          expand, graded_lex_key)
 # the benchmark's tracer wraps engine.factor_power by name
 from .powerseries import factor_power  # noqa: F401
 from .strata import StratumModel, resolve_character, stratum_multiplicities
@@ -115,26 +118,6 @@ def divisorial_poincare(model: StratumModel, bound: int, alpha=None) -> Series:
             else character_part(records, k, bound, model.ring, alpha))
 
 
-def plan_poincare(model: StratumModel, plan: SubstitutionPlan, degree: int):
-    """The trivial-character part of the divisorial series with ``plan``
-    applied to every factor, and the plan that rescales it: :func:`quotient_extract`
-    of the pair is exact through output ``degree``.  With L the lcm of the kept
-    denominators, a weight m becomes w_j = sum of m_i * L / den_i over the inputs
-    sent to output j.  Entries of m are >= 1 and a variable is kept, so |w| >= 1
-    and total degree ``degree * L`` holds every term of output degree <= ``degree``."""
-    lcm = math.lcm(*(e[1] for e in plan.entries if e is not None))
-    k = plan.num_outputs
-    records = []
-    for m, l, power in factors(model, model.strata, model.chosen):
-        w = [0] * k
-        for mi, entry in zip(m, plan.entries, strict=True):
-            if entry is not None:
-                w[entry[0]] += mi * (lcm // entry[1])
-        records.append((tuple(w), l, power))
-    series = character_part(records, k, degree * lcm, model.ring, (0,) * len(model.ring.orders))
-    return series, SubstitutionPlan(tuple((j, lcm) for j in range(k)))
-
-
 def curve_poincare(model: StratumModel, branches, adjusted_strata, bound: int,
                    alpha=None) -> Series:
     """Equivariant Poincare series of the curve-valuation filtration, or its part at ``alpha``.
@@ -178,9 +161,32 @@ def augmented_series(series: Series) -> Series:
     return _integer_part(series, lambda parts: sum(parts.values()))
 
 
-def quotient_extract(series: Series, plan: SubstitutionPlan) -> Series:
-    """Poincare series of the quotient data: take the trivial-character
-    part coefficientwise, then drop and rescale variables by the plan."""
-    if series.ring is not None:
-        series = restrict_to_character(series, (0,) * series.ring.num_generators)
-    return substitute_and_rescale(series, plan)
+def quotient_extract(model: StratumModel, plan: SubstitutionPlan, degree: int) -> Series:
+    """Poincare series of the quotient data through output total degree ``degree``: the
+    trivial-character part of the divisorial series with ``plan`` applied to every factor.
+    With L the lcm of the kept denominators, a weight m becomes w_j = sum of m_i * L / den_i
+    over the inputs sent to output j.  Entries of m are >= 1 and a variable is kept, so
+    |w| >= 1 and total degree ``degree * L`` holds every term of output degree <= ``degree``.
+    The part, N / D, is expanded through there and every exponent divided by L, term by
+    term in the part's table order; the first that L does not divide raises
+    :class:`DivisibilityError`."""
+    lcm = math.lcm(*(e[1] for e in plan.entries if e is not None))
+    k = plan.num_outputs
+    records = []
+    for m, l, power in factors(model, model.strata, model.chosen):
+        w = [0] * k
+        for mi, entry in zip(m, plan.entries, strict=True):
+            if entry is not None:
+                w[entry[0]] += mi * (lcm // entry[1])
+        records.append((tuple(w), l, power))
+    part = character_part(records, k, degree * lcm, model.ring, (0,) * len(model.ring.orders))
+    table, degrees = {}, {}
+    for e, x in part._table.items():
+        q, d = tuple([a // lcm for a in e]), sum(e)
+        if sum(q) * lcm != d:  # a remainder, each in [0, L), is left
+            i = next(i for i, a in enumerate(e) if a % lcm)
+            raise DivisibilityError(
+                f"exponent {e[i]} of variable {i + 1} in term {e} is not divisible by {lcm}")
+        table[q] = x
+        degrees.setdefault(d // lcm, []).append(q)
+    return Series._adopt(k, degree, None, table, degrees)

@@ -10,11 +10,11 @@ nonnegative entries summing to at most ``bound``, and no coefficient is
 zero (an int is nonzero, parts are nonempty, reduced and all nonzero).
 ``Series(...)`` checks this term by term, as it must for input from
 outside, and keeps each element's parts.  The package's own producers,
-:func:`expand` and :func:`substitute_and_rescale` here and the character
-projections in :mod:`eqpoincare.engine`, build tables that hold it by
-construction and hand them over with :meth:`Series._adopt`, which neither
-copies nor checks them.  The writers, the comparison and the projections
-read the table; ``Series.terms``, exponents to ints or
+:func:`expand` here and the character part, the quotient extraction and
+the character projections in :mod:`eqpoincare.engine`, build tables that
+hold it by construction and hand them over with :meth:`Series._adopt`,
+which neither copies nor checks them.  The writers, the comparison and
+the projections read the table; ``Series.terms``, exponents to ints or
 :class:`~eqpoincare.charring.CharElement` objects, is a view built on first read.
 
 Two series are considered equal when they agree on every exponent of
@@ -28,6 +28,10 @@ text that ``json.dumps(..., sort_keys=True)`` would give);
 :func:`render_machine` is its parsed dict and :func:`parse_machine`
 reads either back.  Each writer formats a whole series with one ``%`` over
 one flat argument tuple, its templates built once per character (set).
+
+A :class:`SubstitutionPlan` is a job's map from series variables to the
+quotient's; :func:`eqpoincare.engine.quotient_extract` applies it to the
+factors of a product, before anything is expanded.
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ def _check_size(num_vars: int, bound: int):
 
 
 class Series:
-    _degrees = None  # the exponents by total degree, when expand built the table
+    _degrees = None  # the exponents by total degree, when the producer handed them over
 
     def __init__(self, num_vars: int, bound: int, ring: CharacterRing | None = None,
                  terms: dict | None = None):
@@ -510,10 +514,6 @@ class SubstitutionPlan(namedtuple("SubstitutionPlan", "entries")):
         return super().__new__(cls, entries)
 
     @property
-    def num_inputs(self) -> int:
-        return len(self.entries)
-
-    @property
     def num_outputs(self) -> int:
         kept = [e[0] for e in self.entries if e is not None]
         return max(kept) + 1 if kept else 0
@@ -524,50 +524,9 @@ class SubstitutionPlan(namedtuple("SubstitutionPlan", "entries")):
         return max(dens) if dens else 1
 
 
-def substitute_and_rescale(series: Series, plan: SubstitutionPlan) -> Series:
-    """Drop and merge variables, dividing exponents by plan denominators.
-
-    The output is truncated at floor(bound / max denominator): a term of
-    output total degree D pulls back from kept-variable degree at most
-    D * max_denominator.  A plan that drops variables backs that bound only
-    for input expanded deep enough in the dropped directions too; the
-    package's own extraction passes none (:func:`eqpoincare.engine.plan_poincare`
-    substitutes into the factors and takes their trivial part as N / D first).
-    Exponents of kept variables must divide exactly; anything else would
-    silently corrupt the result, so it raises :class:`DivisibilityError`.
-    """
-    if plan.num_inputs != series.num_vars:
-        raise PlanError(
-            f"plan covers {plan.num_inputs} variables, series has {series.num_vars}"
-        )
-    out_bound = series.bound // plan.max_denominator
-    t = plan.num_outputs
-    zero = _zero_coeff(series.ring)
-    out: dict[Exponents, object] = {}
-    for exps, c in series.terms.items():
-        key = [0] * t
-        for i, entry in enumerate(plan.entries):
-            if entry is None:
-                continue
-            target, den = entry
-            if exps[i] % den != 0:
-                raise DivisibilityError(
-                    f"exponent {exps[i]} of variable {i + 1} in term {exps} "
-                    f"is not divisible by {den}"
-                )
-            key[target] += exps[i] // den
-        if sum(key) > out_bound:
-            continue
-        key = tuple(key)
-        out[key] = out.get(key, zero) + c
-    table = {k: c if series.ring is None else c.terms
-             for k, c in out.items() if not _is_zero_coeff(c)}
-    return Series._adopt(t, out_bound, series.ring, table)
-
-
 def _graded_lex_order(series: Series) -> list:
     """The exponents in graded-lex order: each total degree's bucket sorted,
-    the buckets :func:`expand` handed over or else made here."""
+    the buckets the series' producer handed over or else made here."""
     degrees = series._degrees
     if degrees is None:
         degrees = {}

@@ -32,8 +32,8 @@ def executable_lines(path: Path) -> set:
     return lines
 
 
-def run_traced(args: list) -> tuple:
-    """pytest's exit code, and the lines run per package file."""
+def run_traced(call) -> tuple:
+    """``call()``'s result, and the lines run per package file while it ran."""
     files = {str(p): set() for p in PACKAGE.glob("*.py")}
 
     def trace(frame, event, arg):
@@ -48,16 +48,14 @@ def run_traced(args: list) -> tuple:
             return line
         return line
 
-    import pytest  # before tracing: the package must be imported under the hook
-
     threading.settrace(trace)
     sys.settrace(trace)
     try:
-        code = pytest.main(args)
+        result = call()
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    return code, files
+    return result, files
 
 
 def report(files: dict) -> int:
@@ -77,6 +75,8 @@ def report(files: dict) -> int:
 
 
 if __name__ == "__main__":
-    exit_code, runs = run_traced(sys.argv[1:])
+    import pytest  # before tracing: the package must be imported under the hook
+
+    exit_code, runs = run_traced(lambda: pytest.main(sys.argv[1:]))
     report(runs)
     sys.exit(exit_code)

@@ -128,6 +128,15 @@ MUTANTS = [
      "product.get(key, 0) + coeffs[k] * x"),
     ("engine.py", "if d._degrees is None or not table.keys().isdisjoint(ws):",
      "if d._degrees is None:"),
+    # quotient extraction's one pass over the trivial part: the division by L,
+    # the divisibility test, the output bound and the writers' degree buckets
+    ("engine.py", "q, d = tuple([a // lcm for a in e]), sum(e)",
+     "q, d = tuple([a // 1 for a in e]), sum(e)"),
+    ("engine.py", "if sum(q) * lcm != d:  # a remainder, each in [0, L), is left", "if False:"),
+    ("engine.py", "return Series._adopt(k, degree, None, table, degrees)",
+     "return Series._adopt(k, degree * lcm, None, table, degrees)"),
+    ("engine.py", "degrees.setdefault(d // lcm, []).append(q)",
+     "degrees.setdefault(d, []).append(q)"),
 ]
 
 

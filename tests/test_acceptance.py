@@ -23,15 +23,10 @@ from eqpoincare.engine import (
 )
 from eqpoincare.jobs import load_job
 from eqpoincare.oracle import oracle_poincare
-from eqpoincare.powerseries import (
-    Series,
-    SubstitutionPlan,
-    factor_power,
-    series_eq_upto,
-    substitute_and_rescale,
-)
+from eqpoincare.powerseries import Series, SubstitutionPlan, factor_power, series_eq_upto
 from eqpoincare.resolution import integer_determinant
 from eqpoincare.strata import Stratum, StratumModel, curve_strata, stratum_multiplicities
+from substitution import extract_by_substitution, substitute_and_rescale
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
 
@@ -76,15 +71,19 @@ def test_criterion_1_divisorial_closed_form(capsys):
 def test_criterion_2_a2_extraction(capsys):
     job = load_job(JOBS / "example1.json")
     full = divisorial_poincare(job.model, 48)
-    got = quotient_extract(full, SubstitutionPlan(((0, 3), None, (1, 3))))
+    plan = SubstitutionPlan(((0, 3), None, (1, 3)))
+    got = extract_by_substitution(full, plan)
     got = got.truncate(12)
     want = expand(
         [(1, (3, 3), 1), (1, (2, 1), -1), (1, (1, 2), -1), (1, (1, 1), -1)],
         2, 12,
     )
     same, diff = eq(got, want, 12)
-    report(capsys, 2, "A2 quotient extraction", same)
+    # the route extract runs: the plan applied to the factors
+    direct_same, direct_diff = eq(quotient_extract(job.model, plan, 12), want, 12)
+    report(capsys, 2, "A2 quotient extraction", same and direct_same)
     assert same, diff
+    assert direct_same, direct_diff
 
 
 def test_criterion_3_nine_chain(capsys):
@@ -108,20 +107,22 @@ def test_criterion_3_nine_chain(capsys):
     plan = SubstitutionPlan(
         ((0, 5), None, None, (1, 5), None, (2, 5), None, None, (3, 5))
     )
-    extracted = quotient_extract(full, plan).truncate(8)
+    extracted = extract_by_substitution(full, plan).truncate(8)
     want_a4 = expand(
         [(1, (5, 5, 5, 5), 1), (1, (1, 1, 1, 1), -1),
          (1, (1, 2, 3, 4), -1), (1, (4, 3, 2, 1), -1)],
         4, 8,
     )
     a4_ok, a4_diff = eq(extracted, want_a4, 8)
+    direct_ok, direct_diff = eq(quotient_extract(model, plan, 8), want_a4, 8)
     elapsed = time.monotonic() - start
 
-    ok = rows_ok and series_ok and a4_ok and elapsed < 10.0
+    ok = rows_ok and series_ok and a4_ok and direct_ok and elapsed < 10.0
     report(capsys, 3, "nine-chain rows, series and A4 extraction", ok)
     assert rows_ok, (row1, row9)
     assert series_ok, diff
     assert a4_ok, a4_diff
+    assert direct_ok, direct_diff
     assert elapsed < 10.0, f"took {elapsed:.3f}s"
 
 
@@ -153,19 +154,21 @@ def test_criterion_4_star(capsys):
 
     full = divisorial_poincare(model, 48)
     plan = SubstitutionPlan(((0, 2), None, (1, 4), None, (2, 4), None, (3, 4)))
-    extracted = quotient_extract(full, plan).truncate(8)
+    extracted = extract_by_substitution(full, plan).truncate(8)
     want_d4 = expand(
         [(1, (2, 1, 1, 1), 1), (-1, (3, 2, 2, 2), 1),
          (1, (2, 2, 1, 1), -1), (1, (2, 1, 2, 1), -1), (1, (2, 1, 1, 2), -1)],
         4, 8,
     )
     d4_ok, d4_diff = eq(extracted, want_d4, 8)
+    direct_ok, direct_diff = eq(quotient_extract(model, plan, 8), want_d4, 8)
 
-    ok = vectors_ok and series_ok and d4_ok
+    ok = vectors_ok and series_ok and d4_ok and direct_ok
     report(capsys, 4, "thirteen-component star and D4 extraction", ok)
     assert vectors_ok, (v_central, v_sigma, v_tau, v_ts)
     assert series_ok, diff
     assert d4_ok, d4_diff
+    assert direct_ok, direct_diff
 
 
 def test_criterion_5_oracle_equivalence(capsys):

@@ -21,7 +21,6 @@ from eqpoincare.charring import CharElement
 from eqpoincare.engine import (
     curve_poincare,
     divisorial_poincare,
-    plan_poincare,
     quotient_extract,
     restrict_to_character,
 )
@@ -768,7 +767,7 @@ def series_of(command, name, degree, character=None):
     """The series ``command`` writes, computed without the CLI."""
     job = load_job(JOBS / f"{name}.json")
     if command == "extract":
-        return quotient_extract(*plan_poincare(job.model, job.extract, degree))
+        return quotient_extract(job.model, job.extract, degree)
     series = divisorial_poincare(job.model, degree)
     if character is not None:
         series = restrict_to_character(series, job.model.ring.reduce(character))

@@ -3,21 +3,16 @@ from hypothesis import given, settings, strategies as st
 
 from eqpoincare.charring import CharacterRing
 from eqpoincare.engine import (
+    EngineError,
     augmented_series,
     curve_poincare,
     divisorial_poincare,
     factors,
-    plan_poincare,
     quotient_extract,
     restrict_to_character,
 )
 from eqpoincare.oracle import ConsistencyError, DimensionTable, poincare_from_dimensions
-from eqpoincare.powerseries import (
-    Series,
-    SubstitutionPlan,
-    series_eq_upto,
-    substitute_and_rescale,
-)
+from eqpoincare.powerseries import Series, SubstitutionPlan, series_eq_upto
 from eqpoincare.resolution import ResolutionGraph
 from eqpoincare.strata import (
     Branch,
@@ -28,6 +23,7 @@ from eqpoincare.strata import (
     curve_strata,
 )
 
+from substitution import extract_by_substitution, substitute_and_rescale
 from test_strata import three_chain_model
 
 
@@ -109,6 +105,12 @@ def test_curve_three_chain_is_geometric_series():
     u = model.ring.monomial((1,))
     for k in range(11):
         assert p.coefficient((k,)) == u**k
+
+
+def test_curve_branch_on_an_unknown_component_is_an_error():
+    model = three_chain_model()
+    with pytest.raises(EngineError, match="unknown component 9"):
+        curve_poincare(model, (Branch(9),), model.strata, 5)
 
 
 def test_curve_zero_branches_degenerates_to_one():
@@ -236,7 +238,7 @@ def test_quotient_extract_takes_trivial_part_first():
     model = three_chain_model()
     p = divisorial_poincare(model, 24)
     plan = SubstitutionPlan(((0, 3), None, (1, 3)))
-    q = quotient_extract(p, plan)
+    q = extract_by_substitution(p, plan)
     assert q.ring is None
     assert q.bound == 8
     # trivial-character support i = j mod 3: (i,j)=(1,1) -> T(1,1),
@@ -261,21 +263,21 @@ def test_plan_poincare_reaches_the_dropped_direction():
     model = three_chain_model()
     plan = SubstitutionPlan(((0, 3), None, (1, 3)))
     degree = 16
-    got = quotient_extract(*plan_poincare(model, plan, degree))
+    got = quotient_extract(model, plan, degree)
     assert got.bound == degree
-    deeper = quotient_extract(divisorial_poincare(model, 128), plan).truncate(degree)
+    deeper = extract_by_substitution(divisorial_poincare(model, 128), plan).truncate(degree)
     assert got == deeper
     # the largest denominator alone misses terms that pass through the
     # dropped variable, although the extraction claims bound 16 for it
     short = degree * plan.max_denominator
-    assert quotient_extract(divisorial_poincare(model, short), plan) != deeper
+    assert extract_by_substitution(divisorial_poincare(model, short), plan) != deeper
 
 
 def test_plan_poincare_merges_variables():
     model = three_chain_model()
     plan = SubstitutionPlan(((0, 1), None, (0, 1)))
-    got = quotient_extract(*plan_poincare(model, plan, 12))
-    assert got == quotient_extract(divisorial_poincare(model, 48), plan).truncate(12)
+    got = quotient_extract(model, plan, 12)
+    assert got == extract_by_substitution(divisorial_poincare(model, 48), plan).truncate(12)
     # trivial characters i = j mod 3 of i*(2,1,1) + j*(1,1,2): i = j = 1 gives T^6
     assert got.coefficient((6,)) == 1
     assert got.coefficient((3,)) == 0
@@ -290,11 +292,11 @@ def test_plan_poincare_scales_coprime_denominators_by_their_lcm():
                          (Stratum((1,) * 6, 1), Stratum((1,) * 12, 1)))
     plan = SubstitutionPlan(((0, 2), (1, 3)))
     degree = 6
-    got = quotient_extract(*plan_poincare(model, plan, degree))
-    assert got == quotient_extract(divisorial_poincare(model, 3 * degree), plan)
+    got = quotient_extract(model, plan, degree)
+    assert got == extract_by_substitution(divisorial_poincare(model, 3 * degree), plan)
     assert got.coefficient((3, 2)) == 1
 
 
 def test_plan_poincare_needs_an_entry_per_chosen_component():
     with pytest.raises(ValueError):
-        plan_poincare(three_chain_model(), SubstitutionPlan(((0, 3), (1, 3))), 4)
+        quotient_extract(three_chain_model(), SubstitutionPlan(((0, 3), (1, 3))), 4)

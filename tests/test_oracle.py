@@ -193,6 +193,8 @@ def test_oracle_validation():
         oracle_poincare(MonomialModel(5, (1, -1), sigma_x=3, sigma_y=1), model, 3)
     with pytest.raises(OracleError, match="axis"):
         MonomialModel(3, (1, -1), curve_axes=("diagonal",))
+    with pytest.raises(OracleError, match="at least one branch axis"):
+        oracle_poincare(MonomialModel(3, (1, -1), sigma_x=1, sigma_y=3), model, 3, mode="curve")
     with pytest.raises(OracleError, match="mode"):
         oracle_tables(z3_monomials(), model, 3, mode="nonsense")
 

@@ -15,7 +15,6 @@ from eqpoincare.engine import (
     augmented_series,
     curve_poincare,
     divisorial_poincare,
-    plan_poincare,
     quotient_extract,
     restrict_to_character,
 )
@@ -33,9 +32,9 @@ from eqpoincare.powerseries import (
     render_machine,
     render_text,
     series_eq_upto,
-    substitute_and_rescale,
 )
 from eqpoincare.strata import curve_strata
+from substitution import extract_by_substitution, substitute_and_rescale
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
 
@@ -140,6 +139,14 @@ def test_substitute_drop_everything():
     out = substitute_and_rescale(s, plan)
     assert out.num_vars == 0
     assert out.coefficient(()) == 2
+
+
+def test_substitute_drops_terms_beyond_the_output_bound():
+    # bound 5 // max denominator 2 = 2: (2, 2) lands on T^3 and is cut
+    plan = SubstitutionPlan(((0, 1), (0, 2)))
+    out = substitute_and_rescale(Series(2, 5, None, {(1, 2): 1, (2, 2): 4}), plan)
+    assert out.bound == 2
+    assert out.terms == {(2,): 1}
 
 
 def test_substitute_divisibility_error():
@@ -296,7 +303,7 @@ def test_adopted_series_pass_the_checks_they_skip(args):
             assert isinstance(c, CharElement) and c.ring == s.ring
             assert c.terms and all(c.terms.values())
     # merging every variable into one adds coefficients, which may cancel
-    merged = quotient_extract(s, SubstitutionPlan(((0, 1),) * s.num_vars))
+    merged = extract_by_substitution(s, SubstitutionPlan(((0, 1),) * s.num_vars))
     assert merged.terms == Series(1, s.bound, None, dict(merged.terms)).terms
     assert all(merged.terms.values())
     if s.ring is None:
@@ -307,7 +314,7 @@ def test_adopted_series_pass_the_checks_they_skip(args):
     assert augmented_series(s).terms == checked(s, None, CharElement.augment).terms
     identity = SubstitutionPlan(tuple((i, 1) for i in range(s.num_vars)))
     trivial = checked(s, None, CharElement.trivial_part)
-    assert quotient_extract(s, identity).terms == trivial.terms
+    assert extract_by_substitution(s, identity).terms == trivial.terms
 
 
 @pytest.mark.parametrize("ring", [None, CharacterRing((2,))])
@@ -693,8 +700,7 @@ def adopted_series(case):
     if case == "example1 curve 1000":
         adjusted = curve_strata(job.model, job.curve.removed_points)
         return curve_poincare(job.model, job.curve.branches, adjusted, 1000)
-    series, _ = plan_poincare(job.model, job.extract, 40)
-    return series
+    return quotient_extract(job.model, job.extract, 40)
 
 
 @pytest.mark.parametrize("case", ["example1 divisorial 200", "star divisorial 300",

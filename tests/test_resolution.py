@@ -92,6 +92,7 @@ def test_determinant_helper():
     assert integer_determinant([[7]]) == 7
     assert integer_determinant([[0, 1], [1, 0]]) == -1
     assert integer_determinant([[2, 3], [4, 6]]) == 0
+    assert integer_determinant([[0, 1], [0, 2]]) == 0  # no pivot in the first column
     assert integer_determinant([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
 
 

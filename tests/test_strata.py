@@ -47,6 +47,8 @@ def test_character_derivation():
     model = three_chain_model()
     assert derive_stratum_character(model, model.strata[0]) == (1,)
     assert derive_stratum_character(model, model.strata[1]) == (2,)
+    with pytest.raises(StrataError, match="no character derivation data"):
+        derive_stratum_character(model, model.strata[2])
 
 
 def test_resolve_character_cross_check():
@@ -109,6 +111,8 @@ def test_model_validation():
         StratumModel(g, ring, (9,), ())
     with pytest.raises(StrataError, match="ring generators"):
         StratumModel(g, ring, (1,), (Stratum((1,), 1, char_exponents=(0, 0)),))
+    with pytest.raises(StrataError, match="orbit size must be positive"):
+        StratumModel(g, ring, (1,), (Stratum((1,), 1, derivation=CharDerivation((1,), 0)),))
     with pytest.raises(StrataError, match="empty carrier"):
         Stratum((), 1)
 
