@@ -214,8 +214,7 @@ def _validation_lines(job: Job, tables: dict):
 def _validated(job: Job, tables: dict, failure: str) -> bool:
     """Print the validation lines, and ``failure`` to stderr if they fail."""
     lines, ok = _validation_lines(job, tables)
-    for line in lines:
-        print(line)
+    print("\n".join(lines))
     if not ok:
         print(failure, file=sys.stderr)
     return ok

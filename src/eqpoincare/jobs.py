@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 from collections import namedtuple
+from itertools import chain
 
 from .charring import CharacterRing
 from .oracle import MonomialModel
@@ -123,9 +124,11 @@ def _check(value, types, item, message, where, key, at=None):
         if value is None or item is None or type(item) is str:
             return
         if type(item) is tuple:  # a list of lists: each item keeps the rule ``item``
-            for i, x in enumerate(value):
-                if type(x) not in item[0] or not item[1].issuperset(map(type, x)):
-                    _check(x, *item, where, key, f"{where}.{key}[{i}]")
+            if not (item[0].issuperset(map(type, value))  # else find the first bad item
+                    and item[1].issuperset(map(type, chain.from_iterable(value)))):
+                for i, x in enumerate(value):
+                    if type(x) not in item[0] or not item[1].issuperset(map(type, x)):
+                        _check(x, *item, where, key, f"{where}.{key}[{i}]")
             return
         if item.issuperset(map(type, value)):
             return
@@ -278,6 +281,49 @@ def _parse_expected_factors(items, where, ring_q):
     return tuple(factors)
 
 
+def _parse_orbits(items, graph):
+    """The :class:`OrbitDecl` tuples, in one pass when each orbit is one id and its valence."""
+    valence = graph.valences.get  # None off the graph
+    orbits = [OrbitDecl._make(((c[0],), (r[0],))) for raw in items
+              if type(raw) is dict and len(raw) == 2
+              and type(c := raw.get("components")) is list and len(c) == 1
+              and type(c[0]) in _ID_TYPES and type(r := raw.get("removed")) is list
+              and len(r) == 1 and type(r[0]) is int and r[0] == valence(c[0])]
+    if len(orbits) == len(items):
+        return tuple(orbits)
+    orbits = []  # item by item, which words the first error
+    known = graph.id_index
+    for i, raw in enumerate(items):
+        if (type(raw) is dict and len(raw) == 2
+                and type(components := raw.get("components")) is list
+                and type(removed := raw.get("removed")) is list
+                and len(components) == len(removed) and _ID_TYPES.issuperset(
+                    map(type, components)) and _INT_TYPE.issuperset(map(type, removed))):
+            orbit = OrbitDecl._make((tuple(components), tuple(removed)))  # aligned
+        else:
+            _walk(raw, "orbit", f"orbits[{i}]")
+            try:
+                orbit = OrbitDecl(raw["components"], raw["removed"])
+            except ValueError as e:
+                raise JobError(f"orbits[{i}]: {e}") from e
+        orbits.append(orbit)
+        components, removed = orbit
+        valences = tuple(map(valence, components))
+        if None in valences:
+            raise JobError(f"orbits[{i}].components: {list(components)} names "
+                           "a component not in the graph")
+        if len(components) > 1:  # G acts on the graph: the members look alike
+            kinds = [graph.components[known[c]][1] for c in components]
+            if len(set(zip(kinds, valences))) > 1:
+                raise JobError(f"orbits[{i}].components: {list(components)} have "
+                               f"self-intersections {kinds} and valences "
+                               f"{list(valences)}; one orbit's members share both")
+        if removed != valences:
+            raise JobError(f"orbits[{i}].removed: {list(removed)}, but the graph "
+                           f"gives valences {list(valences)} for {list(components)}")
+    return tuple(orbits)
+
+
 def parse_job(data: dict, name: str = "job") -> Job:
     _walk(data, "job", "job")
     name = name if data.get("name") is None else data["name"]  # null counts as absent
@@ -319,36 +365,7 @@ def parse_job(data: dict, name: str = "job") -> Job:
 
     orbits = None
     if data.get("orbits") is not None:
-        orbits = []
-        for i, raw in enumerate(data["orbits"]):
-            if (type(raw) is dict and len(raw) == 2
-                    and type(components := raw.get("components")) is list
-                    and type(removed := raw.get("removed")) is list
-                    and len(components) == len(removed) and _ID_TYPES.issuperset(
-                        map(type, components)) and _INT_TYPE.issuperset(map(type, removed))):
-                orbit = OrbitDecl._make((tuple(components), tuple(removed)))  # aligned
-            else:
-                _walk(raw, "orbit", f"orbits[{i}]")
-                try:
-                    orbit = OrbitDecl(raw["components"], raw["removed"])
-                except ValueError as e:
-                    raise JobError(f"orbits[{i}]: {e}") from e
-            orbits.append(orbit)
-            components, removed = orbit
-            valences = tuple(map(graph.valences.get, components))  # None off the graph
-            if None in valences:
-                raise JobError(f"orbits[{i}].components: {list(components)} names "
-                               "a component not in the graph")
-            if len(components) > 1:  # G acts on the graph: the members look alike
-                kinds = [graph.components[known[c]][1] for c in components]
-                if len(set(zip(kinds, valences))) > 1:
-                    raise JobError(f"orbits[{i}].components: {list(components)} have "
-                                   f"self-intersections {kinds} and valences "
-                                   f"{list(valences)}; one orbit's members share both")
-            if removed != valences:
-                raise JobError(f"orbits[{i}].removed: {list(removed)}, but the graph "
-                               f"gives valences {list(valences)} for {list(components)}")
-        orbits = tuple(orbits)
+        orbits = _parse_orbits(data["orbits"], graph)
 
     curve = None
     raw = data.get("curve")

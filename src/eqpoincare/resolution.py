@@ -6,9 +6,11 @@ component with its self-intersection number, one edge per intersection
 point of two components, and a marked vertex for the first component
 blown up.
 
-A graph keeps one map from ids to positions and one adjacency (the list of
-neighbour positions of each component, filled in as each edge is checked);
-the connectivity walk, valences, blow-down (on a copy) and matrix use them.
+A graph keeps its ids, one map from ids to positions, one adjacency (the
+neighbour positions of each component, filled in as each edge is checked)
+and the valences, each stored in the instance dict as the constructor builds
+it (a graph made by ``_make`` derives them when first read); the
+connectivity walk, blow-down (on a copy) and matrix use them.
 
 A graph is accepted when it blows down to a smooth point.  A
 (-1)-component meeting at most two others can be taken as the last
@@ -31,7 +33,7 @@ not (-1)^n, the value every blow-up composition has.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import cached_property
 
 
@@ -74,7 +76,9 @@ class ResolutionGraph(namedtuple("ResolutionGraph", "components edges first_blow
         if not comps:
             raise GraphError("a resolution graph needs at least one component")
         self = super().__new__(cls, comps, tuple((a, b) for a, b in edges), first_blown_up)
-        ids, index = self.ids, self.id_index
+        table = vars(self)  # each table goes in as it is built, so reads find it there
+        ids = table["ids"] = cls.ids.func(self)
+        index = table["id_index"] = cls.id_index.func(self)
         if len(index) != len(ids):
             dupes = sorted({c for c in ids if ids.count(c) > 1}, key=repr)
             raise GraphError(f"duplicate component ids: {dupes}")
@@ -84,7 +88,8 @@ class ResolutionGraph(namedtuple("ResolutionGraph", "components edges first_blow
                     f"component {cid!r} has self-intersection {k}; blow-up "
                     "components always have self-intersection <= -1"
                 )
-        adjacency = self._adjacency
+        adjacency = table["_adjacency"] = cls._adjacency.func(self)
+        table["valences"] = cls.valences.func(self)
         if first_blown_up not in index:
             raise GraphError(
                 f"first blown-up component {first_blown_up!r} is not a vertex"
@@ -101,7 +106,6 @@ class ResolutionGraph(namedtuple("ResolutionGraph", "components edges first_blow
             raise GraphError(f"graph is not connected; unreachable: {missing}")
         return self
 
-    # cached per instance, so a graph made by _make, which skips __new__, derives them too
     @cached_property
     def ids(self) -> tuple:
         return tuple(cid for cid, _ in self.components)
@@ -129,9 +133,9 @@ class ResolutionGraph(namedtuple("ResolutionGraph", "components edges first_blow
         return adjacency
 
     @cached_property
-    def valences(self) -> Counter:
-        """Edges at each component; every id is a key, any other id gives 0."""
-        return Counter(dict(zip(self.ids, map(len, self._adjacency))))
+    def valences(self) -> dict:
+        """Edges at each component, keyed by id."""
+        return dict(zip(self.ids, map(len, self._adjacency)))
 
     def intersection_matrix(self) -> list[list[int]]:
         """(E_s o E_t) in the component order of the graph."""

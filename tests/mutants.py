@@ -64,6 +64,22 @@ MUTANTS = [
      "if len(components) > 2:"),
     ("jobs.py", "if len(set(zip(kinds, valences))) > 1:", "if len(set(kinds)) > 1:"),
     ("jobs.py", "if removed != valences:", "if len(removed) != len(valences):"),
+    # the one-pass orbit section: its valence comparison, its id and int types, one member
+    ("jobs.py", "and len(r) == 1 and type(r[0]) is int and r[0] == valence(c[0])]",
+     "and len(r) == 1 and type(r[0]) is int]"),
+    ("jobs.py", "type(r[0]) is int", "type(r[0]) in (int, bool)"),
+    ("jobs.py", 'and type(c[0]) in _ID_TYPES and type(r := raw.get("removed")) is list',
+     'and type(r := raw.get("removed")) is list'),
+    ("jobs.py", 'and type(c := raw.get("components")) is list and len(c) == 1',
+     'and type(c := raw.get("components")) is list'),
+    # the one-pass check of a list of lists, such as the graph's edges
+    ("jobs.py", "and item[1].issuperset(map(type, chain.from_iterable(value)))):",
+     "and True):"),
+    # the graph's tables, stored in the instance dict as they are built
+    ("resolution.py", 'index = table["id_index"] = cls.id_index.func(self)',
+     'index = table["id_index"] = {c: i for i, c in enumerate(sorted(ids, key=repr))}'),
+    ("resolution.py", 'table["valences"] = cls.valences.func(self)',
+     'table["valences"] = dict.fromkeys(ids, 2)'),
     # the monomial oracle's runs and difference lists
     ("oracle.py", "diff[t + (n - r + order - 1) // order] -= 1",
      "diff[t + (n - r) // order] -= 1"),
@@ -92,6 +108,7 @@ MUTANTS = [
      'extract.set_defaults(mode="divisorial", character=None)'),
     ("cli.py", "model = job.model._replace(strata=curve)", "model = job.model"),
     ("cli.py", "        print(failure, file=sys.stderr)", "        pass"),
+    ("cli.py", 'print("\\n".join(lines))', 'print("\\n".join(lines[1:]))'),
     # the dimension route: its table box, assembly checks and diagonal sum
     ("oracle.py", "if any(x < -1 or x > box for x in v):", "if any(x < -1 for x in v):"),
     ("oracle.py", "items = [(alpha if ring is None else ring.reduce(alpha), table)",

@@ -1,10 +1,11 @@
 """Frozen outcomes of ``parse_job`` on every one-field mutation of a job.
 
-Every field of the six shipped jobs and of one generated fresh-style
-job (a random blow-up graph with string ids, trivial group, one stratum
-and one orbit per component) is deleted or replaced by ``null``,
-``true``, ``1.5``, ``"x"``, ``[]``, ``{}`` or an id the graph does not
-have.  Each outcome, "accepted" or the exact error text, is one line;
+Every field of the six shipped jobs and of two generated fresh-style
+jobs (a random blow-up graph with string ids and the trivial group: one
+with one stratum and one orbit per component, one on 40 components whose
+unlabelled strata and orbits gather four alike components into one) is
+deleted or replaced by ``null``, ``true``, ``1.5``, ``"x"``, ``[]``,
+``{}`` or an id the graph does not have.  Each outcome, "accepted" or the exact error text, is one line;
 the lines of a job are pinned as a sha256 digest, so a change to any
 accept/reject decision or to any message shows here.  An exception
 other than ``JobError`` is a bug in the loader and fails the test on
@@ -32,6 +33,7 @@ DIGESTS = {
     "node_curve": "f450236da2d96ca869d33bea72db661db2d730a3d32351d7609bdebf022d06a0",
     "single_blowup": "754b6d02d8a237ab79625a76877474c910ce0fabd5ed7bb10c91d5403b126526",
     "fresh": "1d863f73efb61ce823611016cbb1629aa8796c25f81697aa063ddd8d43090ee1",
+    "fresh40": "f6857089fcd3597521892b5c4a018ebd2f73600737fb1a310c2b88a8f10c4363",
 }
 
 _DELETE = object()
@@ -62,9 +64,42 @@ def fresh_doc() -> dict:
     }
 
 
+def fresh40_doc() -> dict:
+    """A fresh-style job on 40 components: the first four (-1)-components of
+    valence 2 form one orbit, carried by one stratum, and every other
+    component is an orbit and a stratum of its own; no stratum is labelled."""
+    g = random_blowup_graph(random.Random(40), 39)
+    name = {cid: f"g{cid}E" for cid in g.ids}
+    chosen = [g.ids[0], g.ids[17], g.ids[-1]]
+    rows = g.multiplicities
+    alike = [c for c, k in g.components if k == -1 and g.valences[c] == 2][:4]
+    single = [c for c in g.ids if c not in alike]
+    orbits = [alike] + [[c] for c in single]
+    return {
+        "name": "fresh40",
+        "ring": {"orders": []},
+        "graph": {
+            "components": [{"id": name[c], "self_intersection": k} for c, k in g.components],
+            "edges": [[name[a], name[b]] for a, b in g.edges],
+            "first_blown_up": name[g.first_blown_up],
+        },
+        "chosen": [name[c] for c in chosen],
+        "strata": [{"carrier": [name[c] for c in orbit],
+                    "chi": sum(2 - g.valences[c] for c in orbit) // len(orbit)}
+                   for orbit in orbits],
+        "orbits": [{"components": [name[c] for c in orbit],
+                    "removed": [g.valences[c] for c in orbit]} for orbit in orbits],
+        "expected": {"divisorial": [
+            {"exponent": list(rows.row(c, chosen)), "power": g.valences[c] - 2}
+            for c in g.ids if g.valences[c] != 2
+        ]},
+    }
+
+
 def documents() -> dict:
     docs = {path.stem: json.loads(path.read_text()) for path in sorted(JOBS.glob("*.json"))}
     docs["fresh"] = fresh_doc()
+    docs["fresh40"] = fresh40_doc()
     return docs
 
 
