@@ -282,7 +282,8 @@ def _parse_expected_factors(items, where, ring_q):
 
 
 def _parse_orbits(items, graph):
-    """The :class:`OrbitDecl` tuples, in one pass when each orbit is one id and its valence."""
+    """The :class:`OrbitDecl` tuples: in one pass when each orbit is one id
+    and its valence, else walked item by item, which words the first error."""
     valence = graph.valences.get  # None off the graph
     orbits = [OrbitDecl._make(((c[0],), (r[0],))) for raw in items
               if type(raw) is dict and len(raw) == 2
@@ -291,21 +292,14 @@ def _parse_orbits(items, graph):
               and len(r) == 1 and type(r[0]) is int and r[0] == valence(c[0])]
     if len(orbits) == len(items):
         return tuple(orbits)
-    orbits = []  # item by item, which words the first error
+    orbits = []
     known = graph.id_index
     for i, raw in enumerate(items):
-        if (type(raw) is dict and len(raw) == 2
-                and type(components := raw.get("components")) is list
-                and type(removed := raw.get("removed")) is list
-                and len(components) == len(removed) and _ID_TYPES.issuperset(
-                    map(type, components)) and _INT_TYPE.issuperset(map(type, removed))):
-            orbit = OrbitDecl._make((tuple(components), tuple(removed)))  # aligned
-        else:
-            _walk(raw, "orbit", f"orbits[{i}]")
-            try:
-                orbit = OrbitDecl(raw["components"], raw["removed"])
-            except ValueError as e:
-                raise JobError(f"orbits[{i}]: {e}") from e
+        _walk(raw, "orbit", f"orbits[{i}]")
+        try:
+            orbit = OrbitDecl(raw["components"], raw["removed"])
+        except ValueError as e:
+            raise JobError(f"orbits[{i}]: {e}") from e
         orbits.append(orbit)
         components, removed = orbit
         valences = tuple(map(valence, components))

@@ -41,7 +41,7 @@ import json
 import math
 from collections import namedtuple
 from functools import cached_property
-from itertools import cycle, repeat
+from itertools import chain, cycle, repeat
 from operator import add
 
 from .charring import CharacterRing, CharElement
@@ -90,11 +90,14 @@ class Series:
             exps = tuple(exps)
             if len(exps) != num_vars:
                 raise ValueError(f"exponent {exps} has wrong arity, expected {num_vars}")
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
+            if not all(type(e) is int and e >= 0 for e in exps):  # bool is no int
+                raise ValueError(f"exponent {exps} has an entry that is not an integer >= 0")
             if sum(exps) > bound:
                 raise ValueError(f"exponent {exps} beyond degree bound {bound}")
-            c = self._accept_coeff(c)
+            try:
+                c = self._accept_coeff(c)
+            except TypeError as e:
+                raise TypeError(f"term {exps}: {e}") from None
             if not _is_zero_coeff(c):
                 self._table[exps] = c if ring is None else c.terms
 
@@ -121,14 +124,15 @@ class Series:
         return {e: CharElement._of(self.ring, p) for e, p in self._table.items()}
 
     def _accept_coeff(self, c):
+        """``c`` as an int or an element of the series ring, each integer exact."""
+        if type(c) is int:
+            return c if self.ring is None else self.ring.one() * c
         if self.ring is None:
-            if isinstance(c, CharElement):
-                raise TypeError("integer series got a character-ring coefficient")
-            return c
-        if isinstance(c, int):
-            return self.ring.one() * c
+            raise TypeError(f"coefficient {c!r} of an integer series is not an integer")
         if not isinstance(c, CharElement) or c.ring != self.ring:
-            raise TypeError("coefficient does not belong to the series ring")
+            raise TypeError(f"coefficient {c!r} does not belong to the series ring")
+        if not all(type(x) is int for x in chain(c.terms.values(), *c.terms)):
+            raise TypeError(f"coefficient {c!r} has a part or character that is not an integer")
         return c
 
     @classmethod
@@ -619,7 +623,7 @@ def parse_machine(data: dict) -> Series:
         coeff = item["coefficient"]
         if ring is not None:
             if not isinstance(coeff, list):
-                raise ValueError("equivariant series term must list character parts")
+                raise ValueError(f"equivariant series term {exps} must list character parts")
             coeff = ring.element(
                 {tuple(part["exponents"]): part["coeff"] for part in coeff}
             )

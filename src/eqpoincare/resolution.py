@@ -8,9 +8,9 @@ blown up.
 
 A graph keeps its ids, one map from ids to positions, one adjacency (the
 neighbour positions of each component, filled in as each edge is checked)
-and the valences, each stored in the instance dict as the constructor builds
-it (a graph made by ``_make`` derives them when first read); the
-connectivity walk, blow-down (on a copy) and matrix use them.
+and the valences, each set by the constructor as it checks the graph
+(``_make``, ``_replace``, copies and unpickling all run the constructor);
+the connectivity walk, blow-down (on a copy) and matrix use them.
 
 A graph is accepted when it blows down to a smooth point.  A
 (-1)-component meeting at most two others can be taken as the last
@@ -68,7 +68,8 @@ class ResolutionGraph(namedtuple("ResolutionGraph", "components edges first_blow
 
     ``components`` is a tuple of (id, self_intersection) pairs; ids may
     be any hashable JSON-friendly values and fix the matrix ordering.
-    No ``__slots__``: the cached properties live in the instance dict.
+    No ``__slots__``: the tables the constructor sets and the cached
+    :attr:`multiplicities` live in the instance dict.
     """
 
     def __new__(cls, components: tuple, edges: tuple, first_blown_up: object):
@@ -76,9 +77,8 @@ class ResolutionGraph(namedtuple("ResolutionGraph", "components edges first_blow
         if not comps:
             raise GraphError("a resolution graph needs at least one component")
         self = super().__new__(cls, comps, tuple((a, b) for a, b in edges), first_blown_up)
-        table = vars(self)  # each table goes in as it is built, so reads find it there
-        ids = table["ids"] = cls.ids.func(self)
-        index = table["id_index"] = cls.id_index.func(self)
+        ids = self.ids = tuple(cid for cid, _ in comps)
+        index = self.id_index = {cid: i for i, cid in enumerate(ids)}
         if len(index) != len(ids):
             dupes = sorted({c for c in ids if ids.count(c) > 1}, key=repr)
             raise GraphError(f"duplicate component ids: {dupes}")
@@ -88,8 +88,19 @@ class ResolutionGraph(namedtuple("ResolutionGraph", "components edges first_blow
                     f"component {cid!r} has self-intersection {k}; blow-up "
                     "components always have self-intersection <= -1"
                 )
-        adjacency = table["_adjacency"] = cls._adjacency.func(self)
-        table["valences"] = cls.valences.func(self)
+        # neighbour positions per component in edge order; lists, so copies blow down alike
+        adjacency = self._adjacency = [[] for _ in ids]
+        for a, b in self.edges:
+            i, j = index.get(a), index.get(b)
+            if i is None or j is None:
+                raise GraphError(f"edge {(a, b)!r} references an unknown component")
+            if i == j:
+                raise GraphError(f"edge {(a, b)!r} is a loop")
+            if j in adjacency[i]:
+                raise GraphError(f"edge {(a, b)!r} appears twice")
+            adjacency[i].append(j)
+            adjacency[j].append(i)
+        self.valences = dict(zip(ids, map(len, adjacency)))
         if first_blown_up not in index:
             raise GraphError(
                 f"first blown-up component {first_blown_up!r} is not a vertex"
@@ -106,36 +117,10 @@ class ResolutionGraph(namedtuple("ResolutionGraph", "components edges first_blow
             raise GraphError(f"graph is not connected; unreachable: {missing}")
         return self
 
-    @cached_property
-    def ids(self) -> tuple:
-        return tuple(cid for cid, _ in self.components)
-
-    @cached_property
-    def id_index(self) -> dict:
-        """The position of each id in :attr:`ids`."""
-        return {cid: i for i, cid in enumerate(self.ids)}
-
-    @cached_property
-    def _adjacency(self) -> list:
-        """Neighbour positions per component in edge order; lists, so copies blow down alike."""
-        index = self.id_index
-        adjacency = [[] for _ in index]
-        for a, b in self.edges:
-            i, j = index.get(a), index.get(b)
-            if i is None or j is None:
-                raise GraphError(f"edge {(a, b)!r} references an unknown component")
-            if i == j:
-                raise GraphError(f"edge {(a, b)!r} is a loop")
-            if j in adjacency[i]:
-                raise GraphError(f"edge {(a, b)!r} appears twice")
-            adjacency[i].append(j)
-            adjacency[j].append(i)
-        return adjacency
-
-    @cached_property
-    def valences(self) -> dict:
-        """Edges at each component, keyed by id."""
-        return dict(zip(self.ids, map(len, self._adjacency)))
+    @classmethod
+    def _make(cls, iterable) -> "ResolutionGraph":
+        """Build and check through the constructor, as ``_replace`` does too."""
+        return cls(*iterable)
 
     def intersection_matrix(self) -> list[list[int]]:
         """(E_s o E_t) in the component order of the graph."""

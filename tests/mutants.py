@@ -75,11 +75,18 @@ MUTANTS = [
     # the one-pass check of a list of lists, such as the graph's edges
     ("jobs.py", "and item[1].issuperset(map(type, chain.from_iterable(value)))):",
      "and True):"),
-    # the graph's tables, stored in the instance dict as they are built
-    ("resolution.py", 'index = table["id_index"] = cls.id_index.func(self)',
-     'index = table["id_index"] = {c: i for i, c in enumerate(sorted(ids, key=repr))}'),
-    ("resolution.py", 'table["valences"] = cls.valences.func(self)',
-     'table["valences"] = dict.fromkeys(ids, 2)'),
+    # the graph's tables, set by the constructor as it checks them, and
+    # _make building through the constructor
+    ("resolution.py", "index = self.id_index = {cid: i for i, cid in enumerate(ids)}",
+     "index = self.id_index = {c: i for i, c in enumerate(sorted(ids, key=repr))}"),
+    ("resolution.py", "self.valences = dict(zip(ids, map(len, adjacency)))",
+     "self.valences = dict.fromkeys(ids, 2)"),
+    ("resolution.py", "self.valences = dict(zip(ids, map(len, adjacency)))",
+     "self.valences = dict(zip(ids, map(len, reversed(adjacency))))"),
+    ("resolution.py", "return cls(*iterable)", "return tuple.__new__(cls, iterable)"),
+    # the orbit loop's record, built by the aligning constructor
+    ("jobs.py", 'orbit = OrbitDecl(raw["components"], raw["removed"])',
+     'orbit = OrbitDecl._make((tuple(raw["components"]), tuple(raw["removed"])))'),
     # the monomial oracle's runs and difference lists
     ("oracle.py", "diff[t + (n - r + order - 1) // order] -= 1",
      "diff[t + (n - r) // order] -= 1"),

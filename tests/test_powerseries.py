@@ -197,6 +197,36 @@ def test_machine_round_trip_equivariant():
     assert back.ring == ring
 
 
+@pytest.mark.parametrize("term,orders,message", [
+    ({"exponent": [1], "coefficient": [1]}, None, r"term \(1,\): coefficient \[1\]"),
+    ({"exponent": [1], "coefficient": 1.5}, None, r"term \(1,\): coefficient 1\.5"),
+    ({"exponent": [1], "coefficient": "1"}, None, r"term \(1,\): coefficient '1'"),
+    ({"exponent": [1], "coefficient": None}, None, r"term \(1,\): coefficient None"),
+    ({"exponent": [1], "coefficient": True}, None, r"term \(1,\): coefficient True"),
+    ({"exponent": [1, 0], "coefficient": 1}, None, r"exponent \(1, 0\) has wrong arity"),
+    ({"exponent": [0.5], "coefficient": 1}, None, r"exponent \(0\.5,\) has an entry"),
+    ({"exponent": [True], "coefficient": 1}, None, r"exponent \(True,\) has an entry"),
+    ({"exponent": [-1], "coefficient": 1}, None, r"exponent \(-1,\) has an entry"),
+    ({"exponent": [1], "coefficient": [{"exponents": [1], "coeff": 1.5}]}, [3],
+     r"term \(1,\): coefficient 1\.5\*u\^\(1,\) has a part"),
+    ({"exponent": [1], "coefficient": [{"exponents": [0.5], "coeff": 1}]}, [3],
+     r"term \(1,\): coefficient .* has a part or character"),
+    ({"exponent": [1], "coefficient": 2}, [3], r"term \(1,\) must list character parts"),
+])
+def test_parse_machine_rejects_what_is_not_an_exact_series(term, orders, message):
+    data = {"num_vars": 1, "bound": 2, "ring_orders": orders, "terms": [term]}
+    with pytest.raises((ValueError, TypeError), match=message):
+        parse_machine(data)
+
+
+def test_series_rejects_a_coefficient_from_another_ring():
+    ring = CharacterRing((3,))
+    with pytest.raises(TypeError, match=r"term \(1,\): .* integer series is not an integer"):
+        Series(1, 2, None, {(1,): ring.one()})
+    with pytest.raises(TypeError, match=r"term \(1,\): .* does not belong to the series ring"):
+        Series(1, 2, ring, {(1,): CharacterRing((2,)).one()})
+
+
 small_exponents = st.tuples(st.integers(0, 3), st.integers(0, 3))
 
 

@@ -1,4 +1,5 @@
 import copy
+import pickle
 import random
 
 import pytest
@@ -186,17 +187,19 @@ def test_valences_count_the_edges_at_each_component():
 
 
 def test_graphs_rebuilt_without_new_derive_their_index():
-    # _make skips __new__ and starts from an empty instance dict; deepcopy
-    # runs __new__ and then copies the instance dict, cached matrix included
+    # _make and _replace build through __new__; deepcopy and pickle run
+    # __new__ and then restore the instance dict, cached matrix included
     rng = random.Random(34)
     graphs = [chain([-1, -3, -1], e0=2), ResolutionGraph(((1, -1),), (), 1)]
     graphs += [relabelled(rng, random_blowup_graph(rng, k)) for k in (4, 12, 30)]
     for g in graphs:
         made = ResolutionGraph._make(g)
-        assert made.__dict__ == {}
-        for h in (made, copy.deepcopy(g)):
+        for h in (made, g._replace(), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
             assert h == g
+            assert h.ids == g.ids and h.id_index == g.id_index
             assert h.blowup_sequence() == g.blowup_sequence()
             assert h.valences == g.valences
             assert h.multiplicities.rows == g.multiplicities.rows
             assert h.intersection_matrix() == g.intersection_matrix()
+    with pytest.raises(GraphError, match="duplicate component ids"):
+        ResolutionGraph._make([((1, -1), (1, -2)), (), 1])
