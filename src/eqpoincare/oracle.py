@@ -16,14 +16,16 @@ chi(X) = chi(X^T); Campillo, Delgado and Gusein-Zade, Duke Math. J. 117,
 are independent.
 
 One walk counts exactly the monomials of the sum, each once, in both
-modes.  The valuations are linear, w(a, b) = a*r_x + b*r_y with
-r_x = w(1, 0) and r_y = w(0, 1).  A curve branch "x=0" has valuation b
-at a = 0 and infinity elsewhere ("y=0" likewise with a and b swapped);
-the walk writes infinity, and any entry above D, as D + 1.  Every entry
-is then >= 1; writing |v| for the sum of the entries, the walk runs a
-through D // |r_x| and b through (D - a*|r_x|) // |r_y|, so an entry
-D + 1 in r_x leaves only a = 0, in r_y only b = 0, and no counted weight
-holds one.  Row a is counted by runs: its monomials with b = r mod m
+modes.  Both routes read the valuations as two rows, w(a, b) =
+a*r_x + b*r_y with r_x = w(1, 0) and r_y = w(0, 1).  A divisorial entry
+is a multiplicity, >= 1.  A curve branch "x=0" has valuation b at a = 0
+and infinity elsewhere, the entries (inf, 1) ("y=0": (1, inf)); each
+route writes inf as a finite stand-in that any weight using it with a
+coefficient >= 1 reaches, D + 1 for the walk.  Every entry is >= 1;
+writing |v| for the sum of the entries, the walk runs a through
+D // |r_x| and b through (D - a*|r_x|) // |r_y|, so an entry above D in
+r_x leaves only a = 0, in r_y only b = 0, and no counted weight holds
+one.  Row a is counted by runs: its monomials with b = r mod m
 share one character, and their weights step by q = m*r_y along one
 line, named by its point whose first entry lies in [0, q_1).  Each
 (line, character) keeps one difference list over the steps, +1 where a
@@ -39,8 +41,9 @@ as the reference the sum is tested against.  :func:`oracle_tables`
 builds, per character, the table d(v) = dim J(v)/J(v+1) = C(v) - C(v+1),
 with C(v) the number of monomials of weight componentwise >= v.  On the
 box {-1..degree + 1}^s, w_j >= v_j reads only min(w_j, top) with
-top = degree + 2, so the weights are clamped to top, counted per
-character on {-1..top}^s and summed from above, one axis at a time.
+top = degree + 2, also the stand-in, so the weights are clamped to top,
+counted per character on {-1..top}^s and summed from above, one axis at
+a time.
 Enumerating a, b <= top suffices: every monomial beyond has all clamped
 coordinates at top (divisorial weights are at least a + b in every
 coordinate; in the curve case every finite coordinate is a or b), so it
@@ -67,9 +70,6 @@ from collections import Counter, namedtuple
 from .charring import CharacterRing, cyclic_character_ring
 from .powerseries import Series
 from .strata import StratumModel
-
-INF = math.inf
-
 
 class OracleError(ValueError):
     pass
@@ -120,46 +120,24 @@ def monomial_character(mm: MonomialModel, a: int, b: int) -> tuple:
     return (-(k * a + l * b) % mm.order,)
 
 
-def _divisorial_valuation(mm: MonomialModel, model: StratumModel):
-    if mm.sigma_x is None or mm.sigma_y is None:
-        raise OracleError("divisorial oracle needs sigma_x and sigma_y")
-    known = model.graph.id_index
-    for sigma in (mm.sigma_x, mm.sigma_y):
-        if sigma not in known:
-            raise OracleError(f"axis attaches to unknown component {sigma!r}")
-    m = model.multiplicities()
-    row_x = m.row(mm.sigma_x, model.chosen)
-    row_y = m.row(mm.sigma_y, model.chosen)
-
-    def valuation(a, b):
-        return tuple(a * x + b * y for x, y in zip(row_x, row_y))
-
-    return valuation, len(model.chosen)
-
-
-def _curve_valuation(mm: MonomialModel):
-    if not mm.curve_axes:
-        raise OracleError("curve oracle needs at least one branch axis")
-
-    def valuation(a, b):
-        out = []
-        for ax in mm.curve_axes:
-            if ax == "x=0":
-                out.append(b if a == 0 else INF)
-            else:
-                out.append(a if b == 0 else INF)
-        return tuple(out)
-
-    return valuation, len(mm.curve_axes)
-
-
-def _valuation(mm: MonomialModel, model: StratumModel, mode: str):
-    """The valuation map of ``mode``, its number of coordinates and the
-    character ring, once the oracle is known to fit the model."""
+def _weights(mm: MonomialModel, model: StratumModel, mode: str, infinite: int):
+    """The rows w(1, 0) and w(0, 1) of ``mode``, with ``infinite`` standing
+    in for an infinite valuation, their length and the character ring, once
+    the oracle is known to fit the model."""
     if mode == "divisorial":
-        valuation, s = _divisorial_valuation(mm, model)
+        if mm.sigma_x is None or mm.sigma_y is None:
+            raise OracleError("divisorial oracle needs sigma_x and sigma_y")
+        for sigma in (mm.sigma_x, mm.sigma_y):
+            if sigma not in model.graph.id_index:
+                raise OracleError(f"axis attaches to unknown component {sigma!r}")
+        m = model.multiplicities()
+        row_x, row_y = m.row(mm.sigma_x, model.chosen), m.row(mm.sigma_y, model.chosen)
     elif mode == "curve":
-        valuation, s = _curve_valuation(mm)
+        if not mm.curve_axes:
+            raise OracleError("curve oracle needs at least one branch axis")
+        # "x=0" has valuation b at a = 0 and infinity elsewhere
+        row_x, row_y = zip(*[(infinite, 1) if ax == "x=0" else (1, infinite)
+                             for ax in mm.curve_axes])
     else:
         raise OracleError(f"unknown oracle mode {mode!r}")
     ring = mm.ring()
@@ -168,17 +146,14 @@ def _valuation(mm: MonomialModel, model: StratumModel, mode: str):
             f"model ring orders {model.ring.orders} do not match the cyclic "
             f"order {mm.order}"
         )
-    return valuation, s, ring
+    return row_x, row_y, len(row_x), ring
 
 
 def oracle_poincare(mm: MonomialModel, model: StratumModel, degree: int,
                     mode: str = "divisorial") -> Series:
     """Equivariant series through ``degree`` as the sum of
     u^chi(a,b) t^w(a,b) over the monomials with all valuations finite."""
-    valuation, s, ring = _valuation(mm, model, mode)
-    cap = degree + 1  # infinity, and any entry above the degree
-    row_x = [min(x, cap) for x in valuation(1, 0)]
-    row_y = [min(y, cap) for y in valuation(0, 1)]
+    row_x, row_y, s, ring = _weights(mm, model, mode, degree + 1)
     sx, sy, order = sum(row_x), sum(row_y), mm.order
     q = [order * y for y in row_y]  # b -> b + order keeps the character; entries >= 1
     steps, sq = list(zip(row_x, row_y, q)), sum(q)
@@ -244,15 +219,16 @@ def oracle_tables(mm: MonomialModel, model: StratumModel, degree: int,
                   mode: str = "divisorial") -> dict:
     """Dimension tables d(v) = C(v) - C(v + 1) on the box {-1..degree+1}^s,
     keyed by character exponent tuple."""
-    valuation, s, ring = _valuation(mm, model, mode)
     box = degree + 1
     top = box + 1  # w >= v on the box reads only min(w, top)
+    row_x, row_y, s, ring = _weights(mm, model, mode, top)
     size = top + 2  # C lives on the flat lex grid {-1..top}^s
     strides = [size ** (s - 1 - j) for j in range(s)]
+    steps = list(zip(row_x, row_y, strides))
     counts = {alpha: [0] * size ** s for alpha in ring.characters()}
     for a in range(top + 1):
         for b in range(top + 1):
-            i = sum((min(x, top) + 1) * st for x, st in zip(valuation(a, b), strides))
+            i = sum((min(a * x + b * y, top) + 1) * st for x, y, st in steps)
             counts[monomial_character(mm, a, b)][i] += 1
     grid = itertools.product(range(-1, top + 1), repeat=s)
     inner = [(i, v) for i, v in enumerate(grid) if top not in v]  # the box

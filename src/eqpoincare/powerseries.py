@@ -70,10 +70,10 @@ def graded_lex_key(exponents: Exponents):
 
 
 def _check_size(num_vars: int, bound: int):
-    if num_vars < 0:
-        raise ValueError("num_vars must be >= 0")
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
+    if type(num_vars) is not int or num_vars < 0:  # bool is no int
+        raise ValueError(f"num_vars must be an integer >= 0, got {num_vars!r}")
+    if type(bound) is not int or bound < 0:
+        raise ValueError(f"bound must be an integer >= 0, got {bound!r}")
 
 
 class Series:
@@ -376,6 +376,8 @@ def _apply_factor(out, buckets, m, l, c, power, apart, bound, ring):
                 w = tuple(map(add, v, mk))
                 dst = out.get(w)
                 if dst is None:
+                    if not any(out[v].values()):
+                        continue  # a cancelled term writes nothing
                     dst = out[w] = {}
                     new.append(w)
                 for ch, x in out[v].items():
@@ -447,8 +449,8 @@ def expand(records, num_vars: int, bound: int,
     ``v + k m`` whole: two runs that met, or a run that met the table,
     would put a multiple of m in the span.  Nothing divides by a
     coefficient, so zero divisors in the ring are harmless.  The support is
-    bucketed by the total degrees that occur, so the work and memory follow
-    the terms, not the bound.
+    bucketed by the total degrees that occur, and a term that cancelled
+    writes nothing, so the work and memory follow the terms, not the bound.
 
     Every record's arity and sign are checked here and no pass writes
     beyond ``bound``, so with its zeros dropped the table meets the
@@ -615,17 +617,26 @@ def render_machine(series: Series) -> dict:
 
 
 def parse_machine(data: dict) -> Series:
+    if (type(data) is not dict or "num_vars" not in data or "bound" not in data
+            or type(data.get("terms")) is not list):
+        raise ValueError("a series document is an object with num_vars, bound and a terms list")
     orders = data.get("ring_orders")
     ring = None if orders is None else CharacterRing(tuple(orders))
     terms = {}
     for item in data["terms"]:
+        if (type(item) is not dict or type(item.get("exponent")) is not list
+                or "coefficient" not in item):
+            raise ValueError(f"term {item!r} is not an object with an exponent list "
+                             "and a coefficient")
         exps = tuple(item["exponent"])
         coeff = item["coefficient"]
         if ring is not None:
             if not isinstance(coeff, list):
                 raise ValueError(f"equivariant series term {exps} must list character parts")
-            coeff = ring.element(
-                {tuple(part["exponents"]): part["coeff"] for part in coeff}
-            )
+            try:  # a part's coeff that is no number fails the sum in element
+                coeff = ring.element({tuple(part["exponents"]): part["coeff"] for part in coeff})
+            except (KeyError, TypeError):
+                raise TypeError(f"term {exps}: coefficient {coeff!r} is not a list of "
+                                "character parts with exponents and coeff") from None
         terms[exps] = coeff
     return Series(data["num_vars"], data["bound"], ring, terms)

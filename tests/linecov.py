@@ -10,11 +10,14 @@ arguments pytest runs the configured test paths, as tier-1 does.  A
 line is executable when the compiler gives it bytecode in any code
 object of the module.  Lines run only in a child process (a test that
 spawns the command line) are not seen.  Tracing makes the suite about
-three times slower.  pytest does not collect this file.
+three times slower, and automatic garbage collection is off while it
+runs.  If the tracer is dropped before the run ends, the tool prints one
+line and exits 1 instead of a report.  pytest does not collect this file.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 import threading
 from pathlib import Path
@@ -48,13 +51,22 @@ def run_traced(call) -> tuple:
             return line
         return line
 
+    # no automatic collection while tracing: one that starts near the
+    # recursion limit runs gc callbacks there, the tracer's own call for them
+    # raises RecursionError, and Python drops the tracer for the rest of the run
+    gc.disable()
     threading.settrace(trace)
     sys.settrace(trace)
     try:
         result = call()
     finally:
+        dropped = sys.gettrace() is not trace
         sys.settrace(None)
         threading.settrace(None)
+        gc.enable()
+    if dropped:
+        raise RuntimeError("the line tracer was dropped during the run, "
+                           "so lines that ran would read as never run")
     return result, files
 
 
@@ -77,6 +89,9 @@ def report(files: dict) -> int:
 if __name__ == "__main__":
     import pytest  # before tracing: the package must be imported under the hook
 
-    exit_code, runs = run_traced(lambda: pytest.main(sys.argv[1:]))
+    try:
+        exit_code, runs = run_traced(lambda: pytest.main(sys.argv[1:]))
+    except RuntimeError as e:
+        sys.exit(f"linecov: {e}")
     report(runs)
     sys.exit(exit_code)

@@ -97,9 +97,28 @@ MUTANTS = [
     ("oracle.py", "            if c:", "            if True:"),
     ("oracle.py", "diff = runs[key] = [0] * ((degree - sum(line)) // sq + 2)",
      "diff = runs[key] = [0] * ((degree - sum(line)) // sq + 1)"),
-    # expand's coefficient table
+    # the oracle's one pair of weight rows: the curve axes, the walk's stand-in
+    # and the tables' clamp
+    ("oracle.py", '(infinite, 1) if ax == "x=0" else (1, infinite)',
+     '(1, infinite) if ax == "x=0" else (infinite, 1)'),
+    ("oracle.py", "row_x, row_y, s, ring = _weights(mm, model, mode, degree + 1)",
+     "row_x, row_y, s, ring = _weights(mm, model, mode, degree)"),
+    ("oracle.py", "i = sum((min(a * x + b * y, top) + 1) * st for x, y, st in steps)",
+     "i = sum((a * x + b * y + 1) * st for x, y, st in steps)"),
+    # expand's coefficient table, and a cancelled term writing nothing
     ("powerseries.py", "if up or c != 1:", "if up or c == 1:"),
     ("powerseries.py", "return [1] * (kmax + 1)", "return [1] * kmax"),
+    ("powerseries.py", "if not any(out[v].values()):", "if False:"),
+    # the machine format's document, term and part checks, and the size types
+    ("powerseries.py", 'if (type(data) is not dict or "num_vars" not in data or "bound" not in data',
+     "if (type(data) is not dict"),
+    ("powerseries.py", 'or type(data.get("terms")) is not list):', "or False):"),
+    ("powerseries.py", 'if (type(item) is not dict or type(item.get("exponent")) is not list',
+     "if (type(item) is not dict"),
+    ("powerseries.py", 'or "coefficient" not in item):', "or False):"),
+    ("powerseries.py", "except (KeyError, TypeError):", "except KeyError:"),
+    ("powerseries.py", "if type(num_vars) is not int or num_vars < 0:", "if num_vars < 0:"),
+    ("powerseries.py", "if type(bound) is not int or bound < 0:", "if bound < 0:"),
     # one-id carriers in the bookkeeping check
     ("strata.py", "if carrier.count(c) == len(carrier):", "if carrier.count(c) >= 1:"),
     # the command line's route table, as check reads it

@@ -19,11 +19,10 @@ from eqpoincare.engine import (
 )
 from eqpoincare.jobs import load_job
 from eqpoincare.oracle import (
-    INF,
     DimensionTable,
     MonomialModel,
     OracleError,
-    _valuation,
+    _weights,
     monomial_character,
     oracle_poincare,
     oracle_tables,
@@ -209,12 +208,13 @@ def test_unfaithful_weights_are_reported():
 
 def triangle_monomials(mm, model, degree, mode="divisorial"):
     """The weight and character of every monomial with a + b <= degree
-    whose valuations are all finite with total <= degree."""
-    valuation, _, _ = _valuation(mm, model, mode)
+    whose valuations are all finite with total <= degree: an infinite
+    one reads degree + 1, above the total."""
+    row_x, row_y, _, _ = _weights(mm, model, mode, degree + 1)
     for a in range(degree + 1):
         for b in range(degree - a + 1):
-            w = valuation(a, b)
-            if INF not in w and sum(w) <= degree:
+            w = tuple(a * x + b * y for x, y in zip(row_x, row_y))
+            if sum(w) <= degree:
                 yield w, monomial_character(mm, a, b)
 
 
@@ -222,7 +222,7 @@ def full_triangle_sum(mm, model, degree, mode="divisorial"):
     """The monomial sum over every a + b <= degree, kept where all
     valuations are finite and their total is <= degree: the walk the
     bounded one replaced, as its reference."""
-    _, s, ring = _valuation(mm, model, mode)
+    _, _, s, ring = _weights(mm, model, mode, degree + 1)
     counts = {}
     for w, alpha in triangle_monomials(mm, model, degree, mode):
         counts.setdefault(w, Counter())[alpha] += 1

@@ -212,10 +212,36 @@ def test_machine_round_trip_equivariant():
     ({"exponent": [1], "coefficient": [{"exponents": [0.5], "coeff": 1}]}, [3],
      r"term \(1,\): coefficient .* has a part or character"),
     ({"exponent": [1], "coefficient": 2}, [3], r"term \(1,\) must list character parts"),
+    ({"exponent": [1], "coefficient": [{"exponents": [1], "coeff": "x"}]}, [3],
+     r"term \(1,\): coefficient .* is not a list of character parts"),
+    ({"exponent": [1], "coefficient": [{"exponents": [1], "coeff": None}]}, [3],
+     r"term \(1,\): coefficient .* is not a list of character parts"),
+    ({"exponent": [1], "coefficient": [{"exponents": [1]}]}, [3],
+     r"term \(1,\): coefficient .* is not a list of character parts"),
+    ({"exponent": [1], "coefficient": [1]}, [3],
+     r"term \(1,\): coefficient \[1\] is not a list of character parts"),
+    ({"exponent": [1]}, None, r"term \{'exponent': \[1\]\} is not an object"),
+    ({"exponent": 1, "coefficient": 1}, None, r"term .* is not an object with an exponent list"),
+    (5, None, r"term 5 is not an object"),
 ])
 def test_parse_machine_rejects_what_is_not_an_exact_series(term, orders, message):
     data = {"num_vars": 1, "bound": 2, "ring_orders": orders, "terms": [term]}
     with pytest.raises((ValueError, TypeError), match=message):
+        parse_machine(data)
+
+
+@pytest.mark.parametrize("data,message", [
+    ({"num_vars": 1, "bound": 2}, "an object with num_vars, bound and a terms list"),
+    ({"num_vars": 1, "bound": 2, "terms": 5}, "an object with num_vars, bound and a terms list"),
+    ({"bound": 2, "terms": []}, "an object with num_vars, bound and a terms list"),
+    ([], "an object with num_vars, bound and a terms list"),
+    ({"num_vars": 1.5, "bound": 2, "terms": []}, "num_vars must be an integer >= 0, got 1.5"),
+    ({"num_vars": True, "bound": 2, "terms": []}, "num_vars must be an integer >= 0, got True"),
+    ({"num_vars": 1, "bound": 2.5, "terms": []}, "bound must be an integer >= 0, got 2.5"),
+    ({"num_vars": 1, "bound": -1, "terms": []}, "bound must be an integer >= 0, got -1"),
+])
+def test_parse_machine_names_the_field_a_document_gets_wrong(data, message):
+    with pytest.raises(ValueError, match=message):
         parse_machine(data)
 
 
@@ -719,6 +745,20 @@ def test_a_sparse_quotient_walks_only_the_degrees_that_occur():
     small = fold([((1,), None, -1, 1), ((3,), None, -1, 1)], 1, 1000, None)
     assert s.terms == {(k * 10**5,): c for (k,), c in small.terms.items()}
     assert len(s.terms) == 1001
+
+
+def test_a_cancelled_term_writes_nothing_up_to_the_bound():
+    # (1 - t^2) / (1 - t) = 1 + t: the recurrence cancels t^2, and nothing
+    # past it may be walked, empty or not
+    start = time.perf_counter()
+    s = expand([((2,), None, 1), ((1,), None, -1)], 1, 10**6)
+    assert time.perf_counter() - start < 0.5
+    assert s.terms == {(0,): 1, (1,): 1}
+    ring = CharacterRing((2,))  # (1 - u^2 t^2) / (1 - u t) = 1 + u t
+    start = time.perf_counter()
+    s = expand([((2,), (2,), 1), ((1,), (1,), -1)], 1, 10**6, ring)
+    assert time.perf_counter() - start < 0.5
+    assert s.terms == {(0,): ring.one(), (1,): ring.element({(1,): 1})}
 
 
 def adopted_series(case):
